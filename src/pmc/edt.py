@@ -5,9 +5,12 @@ together with the agent's observation, an agent policy from
 observations to actions, and a consequence map from condition and
 action to a utility-labelled outcome.  Environment and agent are total;
 the consequence may fail, and its failure rows act as constraints on
-the joint model.  The solver builds the joint as a diagram, conditions
-on each candidate action with an observation node, and takes exact
-expected utilities of the resulting states.
+the joint model.  The solver builds the joint I -> U (x) A as a
+diagram, evaluates and normalises it once, and projects that single
+joint onto each action: the utility state of an action is the part of
+the joint whose action factor carries it, which is what observing the
+action with an observation node yields.  Exact expected utilities of
+those states rank the actions.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Mapping, Optional
 
 from . import kernel as K
 from .conditioning import normalise
-from .diagram import Compose, Copy, Gen, Id, Observe, Tensor, Term, evaluate
+from .diagram import Compose, Copy, Gen, Id, Tensor, Term, evaluate
 from .errors import (
     BadParameter,
     NoFeasibleAction,
@@ -28,7 +31,16 @@ from .errors import (
     UnknownAction,
     UnknownLabel,
 )
-from .kernel import Alphabet, Obj, SubKernel, UNIT, make_kernel, obj, state
+from .kernel import (
+    Alphabet,
+    Obj,
+    Row,
+    SubKernel,
+    UNIT,
+    make_kernel,
+    obj,
+    state,
+)
 
 
 @dataclass(frozen=True)
@@ -121,23 +133,36 @@ def conditioned_model(problem: DecisionProblem) -> SubKernel:
     return normalise(evaluate(model_term(problem)))
 
 
+def _rows_by_action(joint: SubKernel) -> dict[str, Row]:
+    """Group the single row of a joint I -> U (x) A by its action factor,
+    the last one, keeping the utility part of each outcome."""
+    groups: dict[str, Row] = {}
+    for y, p in joint.rows.get((), {}).items():
+        groups.setdefault(y[-1], {})[y[:-1]] = p
+    return groups
+
+
+def _utility_state(problem: DecisionProblem, row: Row) -> SubKernel:
+    return SubKernel(UNIT, problem.utility_obj, {(): row} if row else {})
+
+
 def action_state(problem: DecisionProblem, action: str) -> SubKernel:
     """The utility state obtained by observing that the action was taken.
 
-    The mass of the returned state is the probability of the action in
-    the success-conditioned model — the action probabilities partition
-    one — and its normalisation is the conditional distribution over
-    utility outcomes given that action.
+    It is the projection of the conditioned model onto the outcomes
+    whose action factor is `action`, equal to composing that model with
+    id_U (x) observe(action).  The mass of the returned state is the
+    probability of the action in the success-conditioned model — the
+    action probabilities partition one — and its normalisation is the
+    conditional distribution over utility outcomes given that action.
+    At mass zero the state has no row.
     """
     if action not in problem.actions.labels:
         raise UnknownAction(
             f"{action!r} is not an action of problem {problem.name!r}"
         )
-    joint = conditioned_model(problem)
-    constrain = Tensor(
-        Id(problem.utility_obj), Observe(problem.action_obj, (action,))
-    )
-    return K.compose(joint, evaluate(constrain))
+    groups = _rows_by_action(conditioned_model(problem))
+    return _utility_state(problem, groups.get(action, {}))
 
 
 def expected_utility(
@@ -175,14 +200,17 @@ class Prescription:
 def solve(problem: DecisionProblem) -> Prescription:
     """Evaluate every action and prescribe the expected-utility maximisers.
 
-    Actions of probability zero have undefined value and are excluded;
-    if every action is excluded, raises NoFeasibleAction.  The chosen
-    action is the first maximiser in declared order.
+    The model is evaluated and normalised once, and each action's state
+    is read off that joint as in action_state.  Actions of probability
+    zero have undefined value and are excluded; if every action is
+    excluded, raises NoFeasibleAction.  The chosen action is the first
+    maximiser in declared order.
     """
+    groups = _rows_by_action(conditioned_model(problem))
     table = []
     best: Optional[Fraction] = None
     for a in problem.actions.labels:
-        st = action_state(problem, a)
+        st = _utility_state(problem, groups.get(a, {}))
         mass = st.mass(())
         if mass == 0:
             table.append(ActionValue(a, mass, None))

@@ -257,8 +257,3 @@ def is_deterministic(f: SubKernel) -> bool:
 def is_quasi_total(f: SubKernel) -> bool:
     """Every row has mass zero or one: failure is deterministic."""
     return all(sum(r.values()) == 1 for r in f.rows.values())
-
-
-def equal(f: SubKernel, g: SubKernel) -> bool:
-    """Exact equality of type and all entries."""
-    return f == g

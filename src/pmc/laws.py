@@ -21,8 +21,14 @@ from typing import Callable, Optional
 
 from . import conditioning as C
 from . import diagram as D
+from . import edt as E
 from . import kernel as K
-from .errors import BadDensity, ImpossibleEvidence, UnknownLaw
+from .errors import (
+    BadDensity,
+    ImpossibleEvidence,
+    NoFeasibleAction,
+    UnknownLaw,
+)
 from .kernel import Alphabet, Obj, SubKernel, UNIT
 
 MAX_DENOMINATOR = 64
@@ -169,6 +175,8 @@ def _as_payload(value):
         return codec.format_fraction(value)
     if isinstance(value, Obj):
         return codec.obj_to_json(value)
+    if isinstance(value, E.DecisionProblem):
+        return codec.problem_to_json(value)
     if isinstance(value, tuple):
         return list(value)
     return value
@@ -801,5 +809,86 @@ def _law_normal_form(rng: Random) -> Optional[dict]:
             return _mismatch(
                 "g matches normalise(evaluate(t)) on positive-success rows",
                 g=nf.g, h=nf.h, normalised=norm, at_input=x,
+            )
+    return None
+
+
+# -- decision problems -------------------------------------------------------
+
+
+def _rand_problem(rng: Random) -> E.DecisionProblem:
+    """A random decision problem: total environment and agent, a partial
+    consequence, and alphabets of at most four labels.  Some agents are
+    deterministic, so other actions get mass zero, and about one
+    consequence in seven fails everywhere, so no action is feasible."""
+    cond = _rand_obj(rng, 0, max_size=3)
+    seen = UNIT if rng.random() < 0.3 else Obj((_rand_alphabet(rng, 2, 3),))
+    actions = Alphabet("action", _LABELS[: _rand_int(rng, 1, 4)])
+    a_obj = Obj((actions,))
+    u_obj = Obj((_rand_alphabet(rng, 3),))
+    environment = _rand_total_kernel(rng, UNIT, cond.tensor(seen))
+    if rng.random() < 0.3:
+        agent = _rand_deterministic(rng, seen, a_obj)
+    else:
+        agent = _rand_total_kernel(rng, seen, a_obj)
+    density = Fraction(0) if rng.random() < 0.15 else None
+    consequence = _rand_kernel(rng, cond.tensor(a_obj), u_obj, density)
+    utilities = {
+        u: Fraction(_rand_int(rng, -20, 20), _rand_int(rng, 1, 4))
+        for u in u_obj.factors[0].labels
+    }
+    return E.DecisionProblem(
+        "random", actions, environment, agent, consequence, utilities
+    )
+
+
+def observed_action_state(
+    problem: E.DecisionProblem, joint: SubKernel, action: str
+) -> SubKernel:
+    """The paper's construction of an action's utility state: the
+    conditioned model `joint` : I -> U (x) A of `problem` composed with
+    id_U (x) observe(action)."""
+    constrain = D.Tensor(
+        D.Id(problem.utility_obj), D.Observe(problem.action_obj, (action,))
+    )
+    return K.compose(joint, D.evaluate(constrain))
+
+
+@law("solver-observe-agreement")
+def _law_solver_observe(rng: Random) -> Optional[dict]:
+    p = _rand_problem(rng)
+    joint = E.conditioned_model(p)
+    observed = {
+        a: observed_action_state(p, joint, a) for a in p.actions.labels
+    }
+    for a, st in observed.items():
+        result = _eq(
+            "action_state(p, a) = model;(id (x) observe(a))",
+            E.action_state(p, a),
+            st,
+            problem=p, action=a,
+        )
+        if result is not None:
+            return result
+    feasible = any(st.mass(()) != 0 for st in observed.values())
+    try:
+        table = E.solve(p).table
+    except NoFeasibleAction:
+        table = None
+    if (table is not None) != feasible:
+        return _mismatch(
+            "solve raises NoFeasibleAction iff every observed mass is 0",
+            problem=p, raised=table is None,
+        )
+    for v in table or ():
+        st = observed[v.action]
+        mass = st.mass(())
+        eu = E.expected_utility(st, p.utilities) if mass else None
+        if (v.mass, v.expected_utility) != (mass, eu):
+            return _mismatch(
+                "solve table = (mass, EU) of the observed states",
+                problem=p, action=v.action,
+                solved_mass=v.mass, solved_eu=v.expected_utility,
+                observed_mass=mass, observed_eu=eu,
             )
     return None

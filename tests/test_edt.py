@@ -373,3 +373,58 @@ def test_corpus_parameters_validated():
         edt.smoking_lesion(gene_prior=2)
     with pytest.raises(BadParameter):
         edt.death_in_damascus_coin(merchant_coin="-1/2")
+
+
+def many_action_newcomb():
+    """Newcomb with 30 actions: a uniform prediction, an agent that favours
+    earlier actions, and a payoff that mostly fails on a wrong prediction."""
+    n, noise = 30, F(1, 100)
+    labels = tuple(f"a{i:02d}" for i in range(n))
+    actions = Alphabet("action", labels)
+    prediction = Alphabet("prediction", labels)
+    payout = Alphabet("payout", labels)
+    weights = {a: F(2 * (n - i), n * (n + 1)) for i, a in enumerate(labels)}
+    consequence = make_kernel(
+        obj(prediction, actions),
+        obj(payout),
+        {
+            (p, a): {a: 1 - noise} if p == a else {p: noise}
+            for p in labels
+            for a in labels
+        },
+    )
+    return edt.DecisionProblem(
+        "newcomb-many",
+        actions,
+        state(obj(prediction), {p: F(1, n) for p in labels}),
+        state(obj(actions), weights),
+        consequence,
+        {u: F(i * i, 7) for i, u in enumerate(labels)},
+    )
+
+
+def test_solve_evaluates_the_model_once(monkeypatch):
+    from pmc.laws import observed_action_state
+
+    problem = many_action_newcomb()
+    joint = edt.conditioned_model(problem)
+    expected = []
+    for a in problem.actions.labels:
+        st = observed_action_state(problem, joint, a)
+        mass = st.mass(())
+        eu = edt.expected_utility(st, problem.utilities) if mass else None
+        expected.append((a, mass, eu))
+
+    calls = []
+    original = edt.conditioned_model
+
+    def counting(p):
+        calls.append(p.name)
+        return original(p)
+
+    monkeypatch.setattr(edt, "conditioned_model", counting)
+    pres = edt.solve(problem)
+    assert calls == ["newcomb-many"]
+    table = [(v.action, v.mass, v.expected_utility) for v in pres.table]
+    assert table == expected
+    assert all(mass > 0 for _, mass, _ in expected)

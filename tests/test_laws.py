@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 
 from pmc import codec
+from pmc import edt
 from pmc import kernel as K
 from pmc import laws
-from pmc.errors import BadDensity, UnknownLaw
+from pmc.errors import BadDensity, NoFeasibleAction, UnknownLaw
 from pmc.kernel import Alphabet, Obj, UNIT, make_kernel, obj
 
 B = Alphabet("bool", ("t", "f"))
@@ -35,6 +36,7 @@ REQUIRED_LAWS = (
     "quasi-total-iff-deterministic-failure",
     "normal-form-soundness",
     "embedding-faithfulness",
+    "solver-observe-agreement",
 )
 
 GOLDEN_42 = {
@@ -167,3 +169,41 @@ def test_random_cproc_term_deterministic():
     t1 = laws.random_cproc_term(9, depth=5)
     t2 = laws.random_cproc_term(9, depth=5)
     assert t1 == t2
+
+
+# -- random decision problems ------------------------------------------------
+
+
+def test_random_problems_cover_both_solver_branches():
+    infeasible = zero_mass_actions = 0
+    for i in range(200):
+        rng = laws._stable_rng("law", "solver-observe-agreement", 7, i)
+        p = laws._rand_problem(rng)
+        assert K.is_total(p.environment) and K.is_total(p.agent)
+        assert len(p.actions.labels) <= 4
+        assert len(p.utility_obj.factors[0].labels) <= 4
+        try:
+            table = edt.solve(p).table
+        except NoFeasibleAction:
+            infeasible += 1
+            continue
+        zero_mass_actions += sum(v.expected_utility is None for v in table)
+    assert 0 < infeasible < 100
+    assert zero_mass_actions > 0
+
+
+def test_mutated_action_grouping_breaks_solver_law(monkeypatch):
+    def by_utility(joint):
+        # Group by the first factor instead of the action factor.
+        groups = {}
+        for y, p in joint.rows.get((), {}).items():
+            groups.setdefault(y[0], {})[y[1:]] = p
+        return groups
+
+    monkeypatch.setattr(edt, "_rows_by_action", by_utility)
+    report = laws.check_law("solver-observe-agreement", 40, 7)
+    assert report.failures > 0
+    cx = report.counterexample
+    # The counterexample problem replays through the CLI problem schema.
+    problem = codec.problem_from_json(cx["problem"])
+    assert codec.problem_to_json(problem) == cx["problem"]

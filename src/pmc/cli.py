@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on validation or parse errors, 2 when an
+Exit codes: 0 on success, 1 on validation or parse errors (including
+TermTooDeep, an input nested too deeply to evaluate), 2 when an
 inference result is mathematically undefined (impossible evidence, no
 feasible action, undefined utility).  Errors go to standard error as
 "error: <Code>: <message>".
@@ -17,7 +18,7 @@ from pathlib import Path
 from . import codec, edt, laws
 from .conditioning import bayes_invert, jeffrey_update, normalise, pearl_update
 from .diagram import evaluate, infer_type
-from .errors import InferenceUndefined, PmcError, SchemaError
+from .errors import InferenceUndefined, PmcError, SchemaError, TermTooDeep
 
 
 def _load_json(path: str):
@@ -183,6 +184,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    try:
+        return args.fn(args)
+    except RecursionError as exc:
+        raise TermTooDeep(
+            "input nests too deeply to evaluate within the recursion limit"
+        ) from exc
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -192,7 +202,7 @@ def main(argv=None) -> int:
         # inference-undefined results, so remap usage problems to 1.
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.fn(args)
+        return _run(args)
     except InferenceUndefined as exc:
         sys.stderr.write(f"error: {exc.code}: {exc}\n")
         return 2

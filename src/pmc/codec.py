@@ -13,7 +13,7 @@ from typing import Any, Mapping
 
 from . import diagram as D
 from . import edt as E
-from .errors import SchemaError
+from .errors import NegativeProbability, SchemaError
 from .kernel import Alphabet, Obj, SubKernel, make_kernel
 
 
@@ -131,7 +131,12 @@ def kernel_from_json(doc: Any, where: str = "kernel") -> SubKernel:
             ow = f"{rw}.out[{j}]"
             y = tuple(_str_list(_require(out_doc, "val", list, ow), ow + ".val"))
             p = parse_fraction(_require(out_doc, "p", (str, int), ow))
-            row[y] = row.get(y, Fraction(0)) + p
+            if p.numerator < 0:
+                # Checked before repeats are summed, which could cancel it.
+                raise NegativeProbability(
+                    f"entry ({x!r} -> {y!r}) has negative probability {p}"
+                )
+            row[y] = row[y] + p if y in row else p
         table[x] = row
     return make_kernel(dom, cod, table)
 

@@ -70,6 +70,12 @@ class SchemaError(PmcError):
     """A JSON document does not match the expected shape."""
 
 
+class TermTooDeep(PmcError):
+    """An input nests more deeply than the interpreter's recursion limit
+    allows; a compose or tensor of a few thousand terms is one level
+    deeper per term."""
+
+
 class InferenceUndefined(PmcError):
     """Base class for results that are mathematically undefined rather
     than malformed: conditioning on impossible evidence, empty decision

@@ -3,8 +3,11 @@
 A kernel maps each input tuple to a finitely supported map from output
 tuples to non-negative rationals summing to at most one.  The missing
 mass of a row is the probability of failure; a row that is absent from
-the table fails with probability one.  All arithmetic is exact, using
-fractions.Fraction.
+the table fails with probability one.  All arithmetic is exact.
+Kernels hold reduced fractions.Fraction entries; compose and the
+row-mass check in make_kernel sum integer numerators over one common
+denominator per row internally, and only the finished row becomes
+Fractions again.
 
 Objects are flat tuples of alphabets; the empty tuple is the monoidal
 unit, and tensoring concatenates factor lists, so associators and
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -28,6 +32,7 @@ from .errors import (
 Outcome = tuple[str, ...]
 Row = dict[Outcome, Fraction]
 RatLike = Union[Fraction, int, str]
+IntRow = tuple[int, list[tuple[Outcome, int]]]
 
 
 @dataclass(frozen=True)
@@ -139,19 +144,24 @@ def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
         acc: Row = {}
         for y_raw, p_raw in row_raw.items():
             y = _as_outcome(y_raw, cod, "output")
-            p = Fraction(p_raw)
-            if p < 0:
+            p = p_raw if isinstance(p_raw, Fraction) else Fraction(p_raw)
+            if p.numerator < 0:
                 raise NegativeProbability(
                     f"entry ({x!r} -> {y!r}) has negative probability {p}"
                 )
-            if p == 0:
+            if not p.numerator:
                 continue
-            acc[y] = acc.get(y, Fraction(0)) + p
-        total = sum(acc.values(), Fraction(0))
-        if total > 1:
-            raise RowMassExceedsOne(f"row at input {x!r} has mass {total} > 1")
-        if acc:
-            rows[x] = acc
+            # Two keys may name one outcome ("t" and ("t",)).
+            acc[y] = acc[y] + p if y in acc else p
+        if not acc:
+            continue
+        den, nums = _over_common_denominator(acc)
+        total = sum(n for _, n in nums)
+        if total > den:
+            raise RowMassExceedsOne(
+                f"row at input {x!r} has mass {Fraction(total, den)} > 1"
+            )
+        rows[x] = acc
     return SubKernel(dom, cod, rows)
 
 
@@ -202,23 +212,46 @@ def compare(at: Obj) -> SubKernel:
     return SubKernel(at.tensor(at), at, rows)
 
 
+def _over_common_denominator(row: Row) -> IntRow:
+    """A row as (den, [(output, numerator)]) over the lcm of its denominators."""
+    den = lcm(*(q.denominator for q in row.values()))
+    return den, [(y, q.numerator * (den // q.denominator)) for y, q in row.items()]
+
+
 def compose(f: SubKernel, g: SubKernel) -> SubKernel:
-    """Sequential composition f ; g, summing over the middle object."""
+    """Sequential composition f ; g, summing over the middle object.
+
+    Each output row is summed in integers: every product p * q is
+    brought over one common denominator D for the row (an lcm), and the
+    sums become reduced Fractions n / D only when the row is stored.
+    """
     if f.cod != g.dom:
         raise TypeMismatch(
             f"cannot compose: first codomain {f.cod!r} != second domain {g.dom!r}"
         )
+    # g's rows are converted on first use: f may reach only a few of them.
+    g_int: dict[Outcome, IntRow] = {}
     rows: dict[Outcome, Row] = {}
     for x, frow in f.rows.items():
-        acc: Row = {}
+        # (numerator of p, denominator of p * q, g's row as numerators)
+        terms = []
         for y, p in frow.items():
-            grow = g.rows.get(y)
-            if not grow:
-                continue
-            for z, q in grow.items():
-                acc[z] = acc.get(z, Fraction(0)) + p * q
-        if acc:
-            rows[x] = acc
+            gy = g_int.get(y)
+            if gy is None:
+                grow = g.rows.get(y)
+                if not grow:
+                    continue
+                gy = g_int[y] = _over_common_denominator(grow)
+            terms.append((p.numerator, p.denominator * gy[0], gy[1]))
+        if not terms:
+            continue
+        den = lcm(*(dd for _, dd, _ in terms))
+        acc: dict[Outcome, int] = {}
+        for num, dd, grow in terms:
+            scale = num * (den // dd)
+            for z, n in grow:
+                acc[z] = acc.get(z, 0) + scale * n
+        rows[x] = {z: Fraction(n, den) for z, n in acc.items()}
     return SubKernel(f.dom, g.cod, rows)
 
 

@@ -93,6 +93,20 @@ def test_eval_bad_kernel_exits_1(tmp_path, capsys):
     assert "RowMassExceedsOne" in capsys.readouterr().err
 
 
+def test_eval_deep_compose_exits_1_without_traceback(tmp_path, capsys):
+    env = write_json(
+        tmp_path / "env.json", {"alphabets": [{"name": "bit", "labels": ["0", "1"]}]}
+    )
+    term = write_json(
+        tmp_path / "deep.json",
+        {"op": "compose", "terms": [{"op": "id", "obj": ["bit"]}] * 3000},
+    )
+    assert cli.main(["eval", term, "--env", env]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: TermTooDeep:")
+    assert "Traceback" not in err
+
+
 def test_eval_missing_file_exits_1(tmp_path, capsys):
     code = cli.main(["eval", str(tmp_path / "absent.json")])
     assert code == 1
@@ -109,6 +123,18 @@ def test_normalise_command(tmp_path, capsys):
     out = codec.kernel_from_json(json.loads(capsys.readouterr().out))
     assert out.prob((), "t") == Fraction(1, 2)
     assert out.mass(()) == 1
+
+
+def test_normalise_rejects_negative_entry_hidden_by_repeat(tmp_path, capsys):
+    doc = codec.kernel_to_json(state(BO, {"f": Fraction(1, 2)}))
+    doc["rows"][0]["out"] += [
+        {"val": ["t"], "p": "-1/2"},
+        {"val": ["t"], "p": "1/2"},
+    ]
+    assert cli.main(["normalise", write_json(tmp_path / "k.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: NegativeProbability:")
 
 
 def invert_files(tmp_path):

@@ -10,7 +10,12 @@ import pytest
 from pmc import codec, edt, laws
 from pmc import diagram as D
 from pmc import kernel as K
-from pmc.errors import RowMassExceedsOne, SchemaError, UnknownLabel
+from pmc.errors import (
+    NegativeProbability,
+    RowMassExceedsOne,
+    SchemaError,
+    UnknownLabel,
+)
 from pmc.kernel import Alphabet, Obj, UNIT, obj, state
 
 B = Alphabet("bool", ("t", "f"))
@@ -114,6 +119,28 @@ def test_duplicate_out_values_accumulate():
         ],
     }
     assert codec.kernel_from_json(doc).prob((), "t") == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [("t", "-1/2"), ("t", "1/2"), ("f", "1/2")],
+        [("t", "-1/4"), ("t", "1/2"), ("f", "3/4")],
+    ],
+)
+def test_negative_entry_is_not_cancelled_by_a_repeat(entries):
+    doc = {
+        "dom": [],
+        "cod": [{"name": "b", "labels": ["t", "f"]}],
+        "rows": [
+            {"in": [], "out": [{"val": [y], "p": p} for y, p in entries]}
+        ],
+    }
+    with pytest.raises(NegativeProbability) as err:
+        codec.kernel_from_json(doc)
+    assert str(err.value) == (
+        f"entry (() -> ('t',)) has negative probability {entries[0][1]}"
+    )
 
 
 # -- terms and environments --------------------------------------------------

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+import hypothesis.strategies as st
+from hypothesis import example, given
 
 from pmc import kernel as K
 from pmc.errors import (
@@ -53,6 +55,24 @@ def test_make_kernel_rejects_row_mass_above_one():
     with pytest.raises(RowMassExceedsOne) as err:
         bk({"t": {"t": HALF, "f": Fraction(3, 4)}})
     assert "('t',)" in str(err.value)
+
+
+def test_make_kernel_row_mass_is_exact():
+    d = Alphabet("d", ("a", "b", "c", "e"))
+    whole = {"a": Fraction(1, 2), "b": "1/3", "c": Fraction(1, 6)}
+    k = make_kernel(BO, obj(d), {"t": whole})
+    assert k.mass("t") == 1 and K.is_quasi_total(k)
+    with pytest.raises(RowMassExceedsOne) as err:
+        make_kernel(BO, obj(d), {"t": {**whole, "e": Fraction(1, 1000)}})
+    assert str(err.value) == "row at input ('t',) has mass 1001/1000 > 1"
+
+
+def test_make_kernel_sums_keys_naming_one_outcome():
+    f = bk({"t": {"t": Fraction(1, 4), ("t",): "1/4", "f": 0}, "f": {"f": 1}})
+    assert f.rows == {("t",): {("t",): HALF}, ("f",): {("f",): Fraction(1)}}
+    assert all(
+        type(q) is Fraction for row in f.rows.values() for q in row.values()
+    )
 
 
 def test_make_kernel_rejects_unknown_labels():
@@ -160,6 +180,86 @@ def test_coin_is_not_deterministic_via_copy_equation():
     assert lhs.prob((), ("t", "f")) == 0
     assert rhs.prob((), ("t", "f")) == Fraction(1, 4)
     assert lhs != rhs
+
+
+# -- compose against a naive Fraction triple sum -----------------------------
+
+
+def naive_compose_rows(f, g):
+    rows = {}
+    for x in f.dom.outcomes():
+        row = {}
+        for z in g.cod.outcomes():
+            total = sum(
+                (f.prob(x, y) * g.prob(y, z) for y in f.cod.outcomes()),
+                Fraction(0),
+            )
+            if total:
+                row[z] = total
+        if row:
+            rows[x] = row
+    return rows
+
+
+@st.composite
+def composable_pairs(draw):
+    a, b, c = draw(objects()), draw(objects()), draw(objects())
+    return draw(kernels(dom=a, cod=b)), draw(kernels(dom=b, cod=c))
+
+
+@given(composable_pairs())
+@example(
+    # A whole-number entry, mixed denominators, and g's row at "f" absent.
+    (
+        bk({"t": {"t": Fraction(1, 3), "f": Fraction(1, 2)}, "f": {"t": 1}}),
+        bk({"t": {"t": Fraction(2, 5), "f": Fraction(1, 7)}}),
+    )
+)
+def test_compose_matches_naive_sum(pair):
+    f, g = pair
+    h = K.compose(f, g)
+    assert h.rows == naive_compose_rows(f, g)
+    assert list(h.rows) == [x for x in f.rows if x in h.rows]
+    for row in h.rows.values():
+        assert row
+        for q in row.values():
+            assert type(q) is Fraction and q > 0
+            assert gcd(q.numerator, q.denominator) == 1
+
+
+def test_compose_prime_denominator_chain_matches_integer_product():
+    n = 32
+    # Primes above 7 * n, so no weight sum reaches its row's denominator.
+    primes = [p for p in range(7 * n + 1, 1000) if all(p % d for d in range(2, p))]
+    a = Alphabet("n", tuple(f"v{i}" for i in range(n)))
+    on = obj(a)
+
+    def dense(first_prime):
+        # Row i puts weight (i + j) % 7 + 1 on output j over its own prime.
+        weights, dens, table = [], [], {}
+        for i in range(n):
+            den = primes[first_prime + i]
+            w = [(i + j) % 7 + 1 for j in range(n)]
+            weights.append(w)
+            dens.append(den)
+            table[a.labels[i]] = {
+                a.labels[j]: Fraction(w[j], den) for j in range(n)
+            }
+        return weights, dens, make_kernel(on, on, table)
+
+    fw, fd, f = dense(0)
+    gw, gd, g = dense(n)
+    common = 1
+    for den in gd:
+        common *= den
+    g_scaled = [[w * (common // den) for w in row] for row, den in zip(gw, gd)]
+    h = K.compose(f, g)
+    for i in range(n):
+        for k in range(n):
+            num = sum(fw[i][j] * g_scaled[j][k] for j in range(n))
+            assert h.prob(a.labels[i], a.labels[k]) == Fraction(
+                num, fd[i] * common
+            )
 
 
 # -- algebraic laws (hypothesis) ---------------------------------------------

@@ -10,7 +10,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from pmc import codec, edt
@@ -36,7 +35,7 @@ def main(argv=None) -> int:
             codec.prescription_to_json(edt.solve(edt.CORPUS[name]()))
             for name in names
         ]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(codec.to_text(payload))
         return 0
 
     for name in names:

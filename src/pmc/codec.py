@@ -17,8 +17,7 @@ from .errors import NegativeProbability, SchemaError
 from .kernel import Alphabet, Obj, SubKernel, make_kernel
 
 
-def format_fraction(q: Fraction) -> str:
-    q = Fraction(q)
+def format_fraction(q: Fraction | int) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -38,8 +37,72 @@ def parse_fraction(value: Any) -> Fraction:
 
 
 def to_text(payload: Any) -> str:
-    """Render a JSON payload in the one true output style."""
-    return json.dumps(payload, indent=2) + "\n"
+    """Render a JSON payload in the one true output style.
+
+    The text is json.dumps's indent-2 text plus a newline, byte for
+    byte, written directly because json's indent path is pure Python.
+    Only the JSON subset pmc emits is accepted: dicts with str keys,
+    lists, tuples, str, int, bool and None.  Anything else, floats and
+    Fractions included, raises TypeError.
+    """
+    out: list[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write(value: Any, nl: str, out: list[str]) -> None:
+    """Append value's indent-2 text to out; nl is a newline plus the
+    indentation of the line value starts on."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"JSON object key must be str, not {key!r}")
+            if type(item) is str:
+                out.append(sep + _quote(key) + ": " + _quote(item))
+            else:
+                out.append(sep + _quote(key) + ": ")
+                _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, value)) == {str}:
+            items = ("," + inner).join(map(_quote, value))
+            out.append("[" + inner + items + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif kind is int:
+        out.append(repr(value))
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(
+            f"{kind.__name__} is not in the JSON subset pmc emits: {value!r}"
+        )
 
 
 def _require(doc: Any, key: str, kind, where: str) -> Any:
@@ -385,4 +448,4 @@ def report_to_text(r) -> str:
     if r.failures == 0:
         return f"{r.law}: pass ({r.passes}/{r.instances})\n"
     head = f"{r.law}: FAIL ({r.failures}/{r.instances} failing)\n"
-    return head + "counterexample: " + json.dumps(r.counterexample, indent=2) + "\n"
+    return head + "counterexample: " + to_text(r.counterexample)

@@ -41,12 +41,16 @@ class Alphabet:
 
     name: str
     labels: tuple[str, ...]
+    # The labels again, for constant-time membership tests.
+    label_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.labels:
             raise UnknownLabel(f"alphabet {self.name!r} has no labels")
-        if len(set(self.labels)) != len(self.labels):
+        label_set = frozenset(self.labels)
+        if len(label_set) != len(self.labels):
             raise UnknownLabel(f"alphabet {self.name!r} has duplicate labels")
+        object.__setattr__(self, "label_set", label_set)
 
     def __repr__(self) -> str:
         return f"Alphabet({self.name!r}, {list(self.labels)!r})"
@@ -96,7 +100,11 @@ def _as_outcome(value, at: Obj, what: str) -> Outcome:
             f"{len(at.factors)} factors"
         )
     for label, alpha in zip(out, at.factors):
-        if label not in alpha.labels:
+        try:
+            known = label in alpha.label_set
+        except TypeError:  # unhashable, so in no alphabet
+            known = False
+        if not known:
             raise UnknownLabel(
                 f"{what} label {label!r} not in alphabet {alpha.name!r}"
             )
@@ -256,12 +264,20 @@ def compose(f: SubKernel, g: SubKernel) -> SubKernel:
 
 
 def tensor(f: SubKernel, g: SubKernel) -> SubKernel:
-    """Parallel composition on concatenated tuples."""
+    """Parallel composition on concatenated tuples.
+
+    Where f's entry p is 1, as in every structural map, the product
+    p * q is g's entry q, already a reduced Fraction, and is stored
+    without multiplying.
+    """
     rows: dict[Outcome, Row] = {}
     for x1, r1 in f.rows.items():
+        terms = [(y1, p, p == 1) for y1, p in r1.items()]
         for x2, r2 in g.rows.items():
             rows[x1 + x2] = {
-                y1 + y2: p * q for y1, p in r1.items() for y2, q in r2.items()
+                y1 + y2: q if one else p * q
+                for y1, p, one in terms
+                for y2, q in r2.items()
             }
     return SubKernel(f.dom.tensor(g.dom), f.cod.tensor(g.cod), rows)
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from pmc import codec, edt, laws
 from pmc import diagram as D
@@ -30,6 +32,7 @@ def test_fraction_formatting():
     assert codec.format_fraction(Fraction(1)) == "1"
     assert codec.format_fraction(Fraction(3, 4)) == "3/4"
     assert codec.format_fraction(Fraction(-5, 2)) == "-5/2"
+    assert codec.format_fraction(3) == "3"
 
 
 def test_fraction_parsing():
@@ -44,6 +47,43 @@ def test_fraction_parsing():
         codec.parse_fraction(True)
     with pytest.raises(SchemaError):
         codec.parse_fraction(None)
+
+
+# -- the indent-2 writer ----------------------------------------------------
+
+# Quotes, backslashes, control characters and non-ASCII text, among others.
+_awkward = '"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2603\U0001d11e'
+_texts = st.text(st.one_of(st.sampled_from(_awkward), st.characters()), max_size=6)
+_payloads = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(-(10**40), 10**40),
+        _texts,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_texts, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_payloads)
+@example({"": [], "q\"\\": {}, "\u00e9\n": [(), [-(2**70), [True, None]], ("x", 1)]})
+@example(["a", "b\x01", "\u2603"])
+def test_to_text_matches_json_dumps_indent_2(payload):
+    assert codec.to_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload", [1.5, {"p": [Fraction(1, 2)]}, {"rows": {1: "a"}}]
+)
+def test_to_text_rejects_values_outside_the_json_subset(payload):
+    with pytest.raises(TypeError):
+        codec.to_text(payload)
 
 
 # -- kernels -----------------------------------------------------------------
@@ -274,3 +314,11 @@ def test_report_text_and_json():
         "failures": 0,
         "counterexample": None,
     }
+    failing = laws.Report(
+        "comonoid", 3, 2, 1, {"case": 0, "equation": "copy;swap = copy", "at": []}
+    )
+    assert codec.report_to_text(failing) == (
+        "comonoid: FAIL (1/3 failing)\ncounterexample: "
+        + json.dumps(failing.counterexample, indent=2)
+        + "\n"
+    )

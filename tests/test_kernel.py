@@ -82,6 +82,18 @@ def test_make_kernel_rejects_unknown_labels():
         bk({"t": {"x": 1}})
     with pytest.raises(UnknownLabel):
         make_kernel(BO, BO, {("t", "t"): {"t": 1}})
+    wide = Alphabet("w", tuple(f"v{i}" for i in range(32)))
+    assert make_kernel(obj(wide), BO, {"v31": {"t": 1}}).prob("v31", "t") == 1
+    with pytest.raises(UnknownLabel) as err:
+        make_kernel(obj(wide), BO, {"v32": {"t": 1}})
+    assert str(err.value) == "input label 'v32' not in alphabet 'w'"
+    with pytest.raises(UnknownLabel) as err:
+        K.dirac(obj(wide), [["v0"]])
+    assert str(err.value) == "point label ['v0'] not in alphabet 'w'"
+    # The label set is not part of an alphabet's identity or text.
+    assert wide == Alphabet("w", tuple(f"v{i}" for i in range(32)))
+    assert hash(wide) == hash(("w", wide.labels))
+    assert repr(wide) == f"Alphabet('w', {list(wide.labels)!r})"
 
 
 def test_alphabet_rejects_duplicates_and_empty():
@@ -260,6 +272,36 @@ def test_compose_prime_denominator_chain_matches_integer_product():
             assert h.prob(a.labels[i], a.labels[k]) == Fraction(
                 num, fd[i] * common
             )
+
+
+# -- tensor against the naive product ---------------------------------------
+
+
+def naive_tensor_rows(f, g):
+    return {
+        x1 + x2: {
+            y1 + y2: p * q for y1, p in r1.items() for y2, q in r2.items()
+        }
+        for x1, r1 in f.rows.items()
+        for x2, r2 in g.rows.items()
+    }
+
+
+@given(kernels(), kernels())
+@example(
+    # f's entries mix 1 and other values; g has none equal to 1.
+    bk({"t": {"f": 1}, "f": {"t": HALF, "f": Fraction(1, 3)}}),
+    bk({"t": {"t": Fraction(1, 3), "f": Fraction(2, 3)}, "f": {"f": HALF}}),
+)
+@example(K.copy(BO), bk({"f": {"t": Fraction(1, 5), "f": Fraction(3, 4)}}))
+def test_tensor_matches_naive_product(f, g):
+    h = K.tensor(f, g)
+    expected = naive_tensor_rows(f, g)
+    assert h.rows == expected
+    assert list(h.rows) == list(expected)
+    for x, row in h.rows.items():
+        assert list(row) == list(expected[x])
+        assert all(type(q) is Fraction for q in row.values())
 
 
 # -- algebraic laws (hypothesis) ---------------------------------------------

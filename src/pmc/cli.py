@@ -28,7 +28,7 @@ def _load_json(path: str):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -3,11 +3,17 @@
 Emission is canonical — factors in declared order, rows and outputs in
 lexicographic label order, rationals as reduced "num/den" (plain
 integers allowed) — so emit -> parse -> emit is byte-identical.
+
+Parsing a kernel checks the schema and every entry's sign for the whole
+document first, parsing each distinct probability string once; then
+make_kernel checks labels and row masses row by row, each distinct
+output tuple once.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -23,12 +29,25 @@ def format_fraction(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# The rational strings of README "File formats": [sign] int ["/" int],
+# or a decimal with digits on at least one side of the point, with
+# whitespace around.  It is checked before Fraction() reads the string,
+# so the grammar is the same on every Python: Fraction() also reads "_"
+# between digits (from 3.11), spaces around "/" (from 3.12) and
+# exponents, and "1e-10000000", 11 characters, would build a
+# 33-million-bit denominator.
+_RATIONAL = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)\s*")
+
+
 def parse_fraction(value: Any) -> Fraction:
+    """A JSON int, or a string in the _RATIONAL grammar."""
     if isinstance(value, bool):
         raise SchemaError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise SchemaError(f"not a rational: {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -183,6 +202,9 @@ def kernel_from_json(doc: Any, where: str = "kernel") -> SubKernel:
     dom = obj_from_json(_require(doc, "dom", list, where), where + ".dom")
     cod = obj_from_json(_require(doc, "cod", list, where), where + ".cod")
     rows_doc = _require(doc, "rows", list, where)
+    # Each distinct probability string is parsed once per document.
+    # Only strings are memoised: as dict keys, True and 1 are one key.
+    parsed: dict[str, Fraction] = {}
     table: dict = {}
     for i, row_doc in enumerate(rows_doc):
         rw = f"{where}.rows[{i}]"
@@ -193,7 +215,13 @@ def kernel_from_json(doc: Any, where: str = "kernel") -> SubKernel:
         for j, out_doc in enumerate(_require(row_doc, "out", list, rw)):
             ow = f"{rw}.out[{j}]"
             y = tuple(_str_list(_require(out_doc, "val", list, ow), ow + ".val"))
-            p = parse_fraction(_require(out_doc, "p", (str, int), ow))
+            value = _require(out_doc, "p", (str, int), ow)
+            if type(value) is str:
+                p = parsed.get(value)
+                if p is None:
+                    p = parsed[value] = parse_fraction(value)
+            else:
+                p = parse_fraction(value)
             if p.numerator < 0:
                 # Checked before repeats are summed, which could cancel it.
                 raise NegativeProbability(

@@ -7,7 +7,9 @@ the table fails with probability one.  All arithmetic is exact.
 Kernels hold reduced fractions.Fraction entries; compose and the
 row-mass check in make_kernel sum integer numerators over one common
 denominator per row internally, and only the finished row becomes
-Fractions again.
+Fractions again.  compose numbers the output outcomes in first-seen
+order and sums each row keyed by those numbers; make_kernel checks each
+distinct output tuple against the codomain once per call.
 
 Objects are flat tuples of alphabets; the empty tuple is the monoidal
 unit, and tensoring concatenates factor lists, so associators and
@@ -32,7 +34,7 @@ from .errors import (
 Outcome = tuple[str, ...]
 Row = dict[Outcome, Fraction]
 RatLike = Union[Fraction, int, str]
-IntRow = tuple[int, list[tuple[Outcome, int]]]
+IntRow = tuple[int, list[tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -147,11 +149,17 @@ def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
     input tuple), or UnknownLabel.
     """
     rows: dict[Outcome, Row] = {}
+    # Output tuples already checked against cod: each is checked once.
+    outputs: set[Outcome] = set()
     for x_raw, row_raw in table.items():
         x = _as_outcome(x_raw, dom, "input")
         acc: Row = {}
         for y_raw, p_raw in row_raw.items():
-            y = _as_outcome(y_raw, cod, "output")
+            if type(y_raw) is tuple and y_raw in outputs:
+                y = y_raw
+            else:
+                y = _as_outcome(y_raw, cod, "output")
+                outputs.add(y)
             p = p_raw if isinstance(p_raw, Fraction) else Fraction(p_raw)
             if p.numerator < 0:
                 raise NegativeProbability(
@@ -163,8 +171,8 @@ def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
             acc[y] = acc[y] + p if y in acc else p
         if not acc:
             continue
-        den, nums = _over_common_denominator(acc)
-        total = sum(n for _, n in nums)
+        den, nums = _row_numerators(acc)
+        total = sum(nums)
         if total > den:
             raise RowMassExceedsOne(
                 f"row at input {x!r} has mass {Fraction(total, den)} > 1"
@@ -220,10 +228,28 @@ def compare(at: Obj) -> SubKernel:
     return SubKernel(at.tensor(at), at, rows)
 
 
-def _over_common_denominator(row: Row) -> IntRow:
-    """A row as (den, [(output, numerator)]) over the lcm of its denominators."""
+def _row_numerators(row: Row) -> tuple[int, list[int]]:
+    """The lcm D of a row's denominators, and its entries' numerators
+    over D in row order."""
     den = lcm(*(q.denominator for q in row.values()))
-    return den, [(y, q.numerator * (den // q.denominator)) for y, q in row.items()]
+    return den, [q.numerator * (den // q.denominator) for q in row.values()]
+
+
+def _numbered_row(
+    row: Row, index: dict[Outcome, int], outcomes: list[Outcome]
+) -> IntRow:
+    """A row as (den, [(output's number, numerator)]), as _row_numerators
+    gives it.  Outputs new to index are numbered in first-seen order and
+    appended to outcomes, so outcomes[i] is output number i."""
+    den, nums = _row_numerators(row)
+    numbered = []
+    for y, n in zip(row, nums):
+        i = index.get(y)
+        if i is None:
+            i = index[y] = len(outcomes)
+            outcomes.append(y)
+        numbered.append((i, n))
+    return den, numbered
 
 
 def compose(f: SubKernel, g: SubKernel) -> SubKernel:
@@ -232,11 +258,16 @@ def compose(f: SubKernel, g: SubKernel) -> SubKernel:
     Each output row is summed in integers: every product p * q is
     brought over one common denominator D for the row (an lcm), and the
     sums become reduced Fractions n / D only when the row is stored.
+    The sums are keyed by output numbers (see _numbered_row), whose
+    hashes cost nothing, not by outcome tuples, whose hashes are
+    recomputed on every lookup.
     """
     if f.cod != g.dom:
         raise TypeMismatch(
             f"cannot compose: first codomain {f.cod!r} != second domain {g.dom!r}"
         )
+    index: dict[Outcome, int] = {}
+    outcomes: list[Outcome] = []
     # g's rows are converted on first use: f may reach only a few of them.
     g_int: dict[Outcome, IntRow] = {}
     rows: dict[Outcome, Row] = {}
@@ -249,17 +280,17 @@ def compose(f: SubKernel, g: SubKernel) -> SubKernel:
                 grow = g.rows.get(y)
                 if not grow:
                     continue
-                gy = g_int[y] = _over_common_denominator(grow)
+                gy = g_int[y] = _numbered_row(grow, index, outcomes)
             terms.append((p.numerator, p.denominator * gy[0], gy[1]))
         if not terms:
             continue
         den = lcm(*(dd for _, dd, _ in terms))
-        acc: dict[Outcome, int] = {}
+        acc: dict[int, int] = {}
         for num, dd, grow in terms:
             scale = num * (den // dd)
-            for z, n in grow:
-                acc[z] = acc.get(z, 0) + scale * n
-        rows[x] = {z: Fraction(n, den) for z, n in acc.items()}
+            for i, n in grow:
+                acc[i] = acc.get(i, 0) + scale * n
+        rows[x] = {outcomes[i]: Fraction(n, den) for i, n in acc.items()}
     return SubKernel(f.dom, g.cod, rows)
 
 

@@ -75,8 +75,12 @@ def _composition(rng: Random, total: int, parts: int) -> list[int]:
 def _rows(rng: Random, dom: Obj, cod: Obj, density: Fraction) -> dict:
     rows: dict = {}
     outcomes = list(cod.outcomes())
+    # random() is k / 2**53 for an integer k, so random() < density iff
+    # k < ceil(density * 2**53) = c, iff random() < c / 2**53, a float
+    # that is exact because 0 <= c <= 2**53.  No Fraction per draw.
+    cut = -(-density.numerator * 2**53 // density.denominator) / 2**53
     for x in dom.outcomes():
-        included = [y for y in outcomes if rng.random() < density]
+        included = [y for y in outcomes if rng.random() < cut]
         if not included:
             continue
         n = len(included)

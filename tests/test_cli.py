@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
+
+import pytest
 
 from pmc import cli, codec, edt, laws
 from pmc import kernel as K
@@ -135,6 +138,21 @@ def test_normalise_rejects_negative_entry_hidden_by_repeat(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: NegativeProbability:")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts ints of any length",
+)
+def test_normalise_rejects_int_past_the_digit_limit(tmp_path, capsys):
+    # json.loads raises a plain ValueError for an int of over 4300 digits.
+    text = json.dumps(codec.kernel_to_json(coin_kernel()))
+    path = tmp_path / "k.json"
+    path.write_text(text.replace('"1/2"', "1" * 5000, 1))
+    assert cli.main(["normalise", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: SchemaError: {path} is not valid JSON: ")
 
 
 def invert_files(tmp_path):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import time
 from fractions import Fraction
+from itertools import product
 
 import hypothesis.strategies as st
 import pytest
@@ -47,6 +50,24 @@ def test_fraction_parsing():
         codec.parse_fraction(True)
     with pytest.raises(SchemaError):
         codec.parse_fraction(None)
+    # The other forms README "File formats" lists.
+    assert codec.parse_fraction(" +1000/3\n") == Fraction(1000, 3)
+    assert codec.parse_fraction("-0.25") == Fraction(-1, 4)
+    assert codec.parse_fraction(".5") == codec.parse_fraction("5.") / 10
+
+
+@pytest.mark.parametrize(
+    "text",
+    # Fraction() reads the exponents, and "1e-10000000" alone took about
+    # 13 s; it reads "1_000/3" from Python 3.11 and "1 / 2" from 3.12.
+    ["1e-10000000", "1E5", "2.5e-1", "1e0", "1_000/3", "1 / 2", "1/ 2", "1/-2", ".", "+"],
+)
+def test_strings_outside_the_rational_grammar_are_refused(text):
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        codec.parse_fraction(text)
+    assert str(err.value) == f"not a rational: {text!r}"
+    assert time.perf_counter() - start < 0.5
 
 
 # -- the indent-2 writer ----------------------------------------------------
@@ -180,6 +201,208 @@ def test_negative_entry_is_not_cancelled_by_a_repeat(entries):
         codec.kernel_from_json(doc)
     assert str(err.value) == (
         f"entry (() -> ('t',)) has negative probability {entries[0][1]}"
+    )
+
+
+# -- kernel_from_json against the per-entry reference -----------------------
+
+
+def reference_kernel_from_json(doc, where="kernel"):
+    """kernel_from_json without memoised parsing: every entry's
+    probability is parsed, sign-checked and label-checked on its own,
+    then every row's mass is summed in Fractions."""
+    dom = codec.obj_from_json(codec._require(doc, "dom", list, where), where + ".dom")
+    cod = codec.obj_from_json(codec._require(doc, "cod", list, where), where + ".cod")
+    rows_doc = codec._require(doc, "rows", list, where)
+    table = {}
+    for i, row_doc in enumerate(rows_doc):
+        rw = f"{where}.rows[{i}]"
+        x = tuple(codec._str_list(codec._require(row_doc, "in", list, rw), rw + ".in"))
+        if x in table:
+            raise SchemaError(f"{rw}: duplicate input {x!r}")
+        row = {}
+        for j, out_doc in enumerate(codec._require(row_doc, "out", list, rw)):
+            ow = f"{rw}.out[{j}]"
+            val = codec._require(out_doc, "val", list, ow)
+            y = tuple(codec._str_list(val, ow + ".val"))
+            p = codec.parse_fraction(codec._require(out_doc, "p", (str, int), ow))
+            if p < 0:
+                raise NegativeProbability(
+                    f"entry ({x!r} -> {y!r}) has negative probability {p}"
+                )
+            row[y] = row[y] + p if y in row else p
+        table[x] = row
+    rows = {}
+    for x_raw, row_raw in table.items():
+        x = K._as_outcome(x_raw, dom, "input")
+        acc = {}
+        for y_raw, p in row_raw.items():
+            y = K._as_outcome(y_raw, cod, "output")
+            if p:
+                acc[y] = p
+        mass = sum(acc.values(), Fraction(0))
+        if mass > 1:
+            raise RowMassExceedsOne(f"row at input {x!r} has mass {mass} > 1")
+        if acc:
+            rows[x] = acc
+    return K.SubKernel(dom, cod, rows)
+
+
+_LABELS = ("a", "b", "c")
+# Probabilities a valid document may hold; several strings name one value.
+_GOOD_P = ["0", "-0", "1/8", "1/4", "2/8", " 1/4", "0.25", "1/3", "2/6", "1/2", "1"]
+_GOOD_P += [0, 1]
+# Negative values first: _repeat_output draws its repeats from them.
+_BAD_P = ["-1/2", "-1/3", -1, "3/2", 2, True, False, None, 0.5, [], "x", "1/0"]
+_BAD_P += ["1e-1", "1/2/3"]
+
+
+def _row_docs(doc):
+    rows = doc.get("rows") if isinstance(doc, dict) else None
+    return [r for r in rows if isinstance(r, dict)] if isinstance(rows, list) else []
+
+
+def _out_docs(doc):
+    return [
+        out
+        for r in _row_docs(doc)
+        if isinstance(r.get("out"), list)
+        for out in r["out"]
+        if isinstance(out, dict)
+    ]
+
+
+def _pick(draw, items):
+    return items[draw(st.integers(0, len(items) - 1))] if items else None
+
+
+def _set_p(draw, doc, values):
+    out = _pick(draw, _out_docs(doc))
+    if out is not None:
+        out["p"] = draw(st.sampled_from(values))
+
+
+def _repeat_output(draw, doc):
+    rows = [r for r in _row_docs(doc) if isinstance(r.get("out"), list)]
+    row = _pick(draw, [r for r in rows if r["out"]])
+    if row is not None:
+        out = dict(_pick(draw, row["out"]))
+        out["p"] = draw(st.sampled_from(_GOOD_P + _BAD_P[:3]))
+        row["out"].insert(draw(st.integers(0, len(row["out"]))), out)
+
+
+def _relabel(draw, doc, key, pick):
+    holder = _pick(draw, pick(doc))
+    if holder is None or not isinstance(holder.get(key), list):
+        return
+    labels = holder[key]
+    how = draw(st.sampled_from(["unknown", "longer", "shorter", "not-a-str"]))
+    if how == "unknown" and labels:
+        labels[draw(st.integers(0, len(labels) - 1))] = "zz"
+    elif how == "longer":
+        labels.append(draw(st.sampled_from(_LABELS)))
+    elif how == "shorter" and labels:
+        labels.pop()
+    elif how == "not-a-str" and labels:
+        labels[0] = draw(st.sampled_from([1, None, ["a"]]))
+
+
+def _drop_key(draw, doc):
+    holders = [doc] + _row_docs(doc) + _out_docs(doc)
+    holder = _pick(draw, holders)
+    if holder:
+        del holder[draw(st.sampled_from(sorted(holder)))]
+
+
+def _val_not_a_list(draw, doc):
+    out = _pick(draw, _out_docs(doc))
+    if out is not None:
+        out["val"] = draw(st.sampled_from(["a", 3, {"a": 1}, None]))
+
+
+def _duplicate_input(draw, doc):
+    row = _pick(draw, _row_docs(doc))
+    if row is not None:
+        doc["rows"].append({"in": list(row.get("in", [])), "out": []})
+
+
+def _mass_above_one(draw, doc):
+    row = _pick(draw, [r for r in _row_docs(doc) if isinstance(r.get("out"), list)])
+    vals = [out.get("val") for out in row["out"] if isinstance(out, dict)] if row else []
+    if vals and isinstance(vals[0], list):
+        row["out"].append({"val": list(vals[0]), "p": "1"})
+
+
+_MUTATIONS = (
+    lambda draw, doc: _set_p(draw, doc, _BAD_P),
+    _repeat_output,
+    lambda draw, doc: _relabel(draw, doc, "val", _out_docs),
+    lambda draw, doc: _relabel(draw, doc, "in", _row_docs),
+    _drop_key,
+    _val_not_a_list,
+    _duplicate_input,
+    _mass_above_one,
+)
+
+
+@st.composite
+def kernel_docs(draw):
+    def alphabet(name):
+        return {"name": name, "labels": list(_LABELS[: draw(st.integers(1, 3))])}
+
+    dom = [alphabet(f"D{i}") for i in range(draw(st.integers(0, 2)))]
+    cod = [alphabet(f"C{i}") for i in range(draw(st.integers(1, 2)))]
+    outputs = list(product(*(a["labels"] for a in cod)))
+    rows = []
+    for x in product(*(a["labels"] for a in dom)):
+        if draw(st.booleans()):
+            n = draw(st.integers(0, 4))
+            rows.append(
+                {
+                    "in": list(x),
+                    "out": [
+                        {
+                            "val": list(draw(st.sampled_from(outputs))),
+                            "p": draw(st.sampled_from(_GOOD_P)),
+                        }
+                        for _ in range(n)
+                    ],
+                }
+            )
+    doc = {"dom": dom, "cod": cod, "rows": rows}
+    for mutate in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3)):
+        mutate(draw, doc)
+    return doc
+
+
+def _outcome(parse, doc):
+    """A parsed kernel with its row and entry order, or the error raised."""
+    try:
+        k = parse(copy.deepcopy(doc))
+    except Exception as exc:  # compared, not swallowed: see the assert
+        return ("raised", type(exc), str(exc))
+    rows = [(x, list(row.items())) for x, row in k.rows.items()]
+    assert all(type(q) is Fraction for _, row in rows for _, q in row)
+    return ("kernel", k.dom, k.cod, rows)
+
+
+def _one_row(*outs):
+    return {
+        "dom": [],
+        "cod": [{"name": "b", "labels": ["t", "f"]}],
+        "rows": [{"in": [], "out": [{"val": [y], "p": p} for y, p in outs]}],
+    }
+
+
+@given(kernel_docs())
+@example(_one_row(("t", 1), ("t", True)))
+@example(_one_row(("t", "1/2"), ("f", "1/2"), ("t", "1/2")))
+@example(_one_row(("t", "-1/2"), ("t", "1/2"), ("f", "1/2")))
+@example(_one_row(("t", "-1/4"), ("t", "1/2"), ("f", "3/4")))
+@example(_one_row(("f", "0"), ("t", "1/3"), ("f", "1/3"), ("zz", "0")))
+def test_kernel_from_json_matches_per_entry_reference(doc):
+    assert _outcome(codec.kernel_from_json, doc) == _outcome(
+        reference_kernel_from_json, doc
     )
 
 

@@ -1,0 +1,104 @@
+"""Byte-for-byte golden outputs: the CLI, scripts/solve_corpus.py and the
+random kernel generators.
+
+Every file under tests/golden/ except the two eval inputs
+(dense_env.json, dense_chain.json) is an output, pinned so that a
+change to parsing, arithmetic or emission cannot alter a byte
+unnoticed.  Regenerating one is a deliberate act:
+
+    pmc laws --cases 50 --seed 7 [--format json]  > laws_50_seed7.{txt,json}
+    python scripts/solve_corpus.py [--format json] > solve_corpus.{tsv,json}
+    pmc eval dense_chain.json --env dense_env.json > dense_chain.out.json
+
+and random_kernels.txt is the text random_kernels_text() below returns.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from fractions import Fraction
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from pmc import cli, codec, laws
+from pmc.kernel import Alphabet, Obj
+
+GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
+
+
+def _solve_corpus_main():
+    spec = importlib.util.spec_from_file_location(
+        "solve_corpus", ROOT / "scripts" / "solve_corpus.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["laws", "--cases", "50", "--seed", "7"], "laws_50_seed7.txt"),
+        (
+            ["laws", "--cases", "50", "--seed", "7", "--format", "json"],
+            "laws_50_seed7.json",
+        ),
+        (
+            [
+                "eval",
+                str(GOLDEN / "dense_chain.json"),
+                "--env",
+                str(GOLDEN / "dense_env.json"),
+            ],
+            "dense_chain.out.json",
+        ),
+    ],
+)
+def test_cli_output_matches_golden(argv, golden, capsys):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [([], "solve_corpus.tsv"), (["--format", "json"], "solve_corpus.json")],
+)
+def test_solve_corpus_output_matches_golden(argv, golden, capsys):
+    assert _solve_corpus_main()(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text("utf-8")
+
+
+def random_kernels_text() -> str:
+    """Kernels from laws.random_kernel and laws._rand_kernel at a few
+    seeds and densities, one line per row in stored order."""
+    x = Obj((Alphabet("x", ("x0", "x1")),))
+    yz = Obj((Alphabet("y", ("y0", "y1")), Alphabet("z", ("z0", "z1"))))
+    densities = ("0", "1/3", "7/10", "1")
+    made = [
+        (f"random_kernel({seed}, {d})", laws.random_kernel(seed, x, yz, d))
+        for seed in (0, 1, 7)
+        for d in densities
+    ]
+    for seed in (0, 1, 7):
+        rng = Random(seed)
+        made += [
+            (f"_rand_kernel({seed}, {d})", laws._rand_kernel(rng, x, yz, Fraction(d)))
+            for d in densities
+        ]
+        made.append((f"_rand_kernel({seed})", laws._rand_kernel(rng, yz, x)))
+    lines = []
+    for name, k in made:
+        lines.append(name)
+        for row_in, row in k.rows.items():
+            entries = " ".join(
+                f"{','.join(y)}={codec.format_fraction(p)}" for y, p in row.items()
+            )
+            lines.append(f"  {','.join(row_in)}: {entries}")
+    return "\n".join(lines) + "\n"
+
+
+def test_random_kernels_match_golden():
+    assert random_kernels_text() == (GOLDEN / "random_kernels.txt").read_text("utf-8")

@@ -219,6 +219,17 @@ def composable_pairs(draw):
     return draw(kernels(dom=a, cod=b)), draw(kernels(dom=b, cod=c))
 
 
+def first_seen_outputs(f, g, x):
+    """Outputs of (f ; g) at x in the order the row is summed: through
+    f's row in order, then each g row in order, first sight only."""
+    order = []
+    for y in f.rows[x]:
+        for z in g.rows.get(y, {}):
+            if z not in order:
+                order.append(z)
+    return order
+
+
 @given(composable_pairs())
 @example(
     # A whole-number entry, mixed denominators, and g's row at "f" absent.
@@ -227,13 +238,26 @@ def composable_pairs(draw):
         bk({"t": {"t": Fraction(2, 5), "f": Fraction(1, 7)}}),
     )
 )
+@example(
+    # g's rows list their outputs in opposite orders, and f's rows reach
+    # them in opposite orders, so each output row starts with another.
+    (
+        bk({"t": {"f": Fraction(1, 3), "t": HALF}, "f": {"t": HALF}}),
+        bk(
+            {
+                "t": {"t": Fraction(2, 5), "f": Fraction(1, 7)},
+                "f": {"f": Fraction(1, 4), "t": Fraction(3, 4)},
+            }
+        ),
+    )
+)
 def test_compose_matches_naive_sum(pair):
     f, g = pair
     h = K.compose(f, g)
     assert h.rows == naive_compose_rows(f, g)
     assert list(h.rows) == [x for x in f.rows if x in h.rows]
-    for row in h.rows.values():
-        assert row
+    for x, row in h.rows.items():
+        assert list(row) == first_seen_outputs(f, g, x)
         for q in row.values():
             assert type(q) is Fraction and q > 0
             assert gcd(q.numerator, q.denominator) == 1

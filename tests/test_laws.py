@@ -111,6 +111,30 @@ def test_random_kernel_density_one_fills_rows():
         assert set(k.rows[x]) == set(BO.outcomes())
 
 
+class _Draws:
+    """A stand-in for Random that returns scripted draws, then 1/2."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0) if self.draws else 0.5
+
+
+@pytest.mark.parametrize(
+    "density",
+    [Fraction(1, 3), Fraction(7, 10), Fraction(1, 2**53), Fraction(2**60 - 1, 2**60)],
+)
+def test_density_test_is_exact_at_the_boundary(density):
+    # random() is k / 2**53; the draws just below and at the density.
+    k = -(-density.numerator * 2**53 // density.denominator)
+    draws = [(k - 1) / 2**53, k / 2**53, (k + 1) / 2**53, 0.0]
+    cod = obj(Alphabet("x", ("a", "b", "c", "d")))
+    rows = laws._rows(_Draws(draws), UNIT, cod, density)
+    expected = [y for y, r in zip(cod.outcomes(), draws) if r < density]
+    assert list(rows[()]) == expected
+
+
 def test_random_total_kernel_is_total():
     rng = laws._stable_rng("t", 1)
     k = laws._rand_total_kernel(rng, BO, obj(Alphabet("x", ("a", "b", "c"))))

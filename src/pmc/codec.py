@@ -4,6 +4,13 @@ Emission is canonical — factors in declared order, rows and outputs in
 lexicographic label order, rationals as reduced "num/den" (plain
 integers allowed) — so emit -> parse -> emit is byte-identical.
 
+kernel_to_json returns a KernelJSON: a read-only mapping over the
+kernel that to_text writes straight from the kernel's rows, with no
+payload tree in between.  Read as a mapping, it is the plain JSON
+object {"dom", "cod", "rows"}, parsed back from that same text, so
+there is one rendering of rows; dict(p) gives an editable copy.  The
+parsers accept a KernelJSON wherever they accept a kernel document.
+
 Parsing a kernel checks the schema and every entry's sign for the whole
 document first, parsing each distinct probability string once; then
 make_kernel checks labels and row masses row by row, each distinct
@@ -14,8 +21,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
 from . import diagram as D
 from . import edt as E
@@ -35,8 +43,14 @@ def format_fraction(q: Fraction | int) -> str:
 # so the grammar is the same on every Python: Fraction() also reads "_"
 # between digits (from 3.11), spaces around "/" (from 3.12) and
 # exponents, and "1e-10000000", 11 characters, would build a
-# 33-million-bit denominator.
-_RATIONAL = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)\s*")
+# 33-million-bit denominator.  No run of digits may be longer than
+# Python's default int conversion limit, 4300 digits: Fraction() works
+# on a long decimal in time superlinear in its length before int()
+# refuses it.
+_DIGITS = r"\d{1,4300}"
+_RATIONAL = re.compile(
+    rf"\s*[+-]?(?:{_DIGITS}(?:/{_DIGITS})?|{_DIGITS}\.\d{{0,4300}}|\.{_DIGITS})\s*"
+)
 
 
 def parse_fraction(value: Any) -> Fraction:
@@ -61,8 +75,8 @@ def to_text(payload: Any) -> str:
     The text is json.dumps's indent-2 text plus a newline, byte for
     byte, written directly because json's indent path is pure Python.
     Only the JSON subset pmc emits is accepted: dicts with str keys,
-    lists, tuples, str, int, bool and None.  Anything else, floats and
-    Fractions included, raises TypeError.
+    lists, tuples, str, int, bool, None and KernelJSON.  Anything else,
+    floats and Fractions included, raises TypeError.
     """
     out: list[str] = []
     _write(payload, "\n", out)
@@ -95,6 +109,8 @@ def _write(value: Any, nl: str, out: list[str]) -> None:
                 _write(item, inner, out)
             sep = "," + inner
         out.append(nl + "}")
+    elif kind is KernelJSON:
+        _write_kernel(value.kernel, nl, out)
     elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
@@ -122,6 +138,62 @@ def _write(value: Any, nl: str, out: list[str]) -> None:
         raise TypeError(
             f"{kind.__name__} is not in the JSON subset pmc emits: {value!r}"
         )
+
+
+class _Quoted(dict):
+    """label -> nl + its quoted text, built on first use."""
+
+    def __init__(self, nl: str) -> None:
+        self.nl = nl
+
+    def __missing__(self, label: str) -> str:
+        text = self[label] = self.nl + _quote(label)
+        return text
+
+
+def _write_kernel(k: SubKernel, nl: str, out: list[str]) -> None:
+    """_write for a KernelJSON: the text of {"dom", "cod", "rows"} at
+    indentation nl, written from k.rows with fixed templates."""
+    i1, i2, i3, i4, i5 = (nl + "  " * n for n in range(1, 6))
+    out.append("{" + i1 + '"dom": ')
+    _write(obj_to_json(k.dom), i1, out)
+    out.append("," + i1 + '"cod": ')
+    _write(obj_to_json(k.cod), i1, out)
+    rows = k.rows
+    if not rows:
+        out.append("," + i1 + '"rows": []' + nl + "}")
+        return
+    # A row is {"in": [x...], "out": [{"val": [y...], "p": p}, ...]}.
+    row_open = "{" + i3 + '"in": '
+    row_out = "," + i3 + '"out": [' + i4
+    row_close = i3 + "]" + i2 + "}"
+    in_close = i3 + "]"
+    entry_sep = "," + i4
+    val_open = "{" + i5 + '"val": '
+    val_close = i5 + "]"
+    p_open = "," + i5 + '"p": "'
+    p_close = '"' + i4 + "}"
+    in_label = _Quoted(i4).__getitem__
+    val_label = _Quoted(i5 + "  ").__getitem__
+    sep = "," + i1 + '"rows": [' + i2
+    for x in sorted(rows):
+        row = rows[x]
+        entries = []
+        for y in sorted(row):
+            q = row[y]
+            d = q.denominator
+            entries.append(
+                f"{val_open}"
+                f"{'[' + ','.join(map(val_label, y)) + val_close if y else '[]'}"
+                f"{p_open}{q.numerator if d == 1 else f'{q.numerator}/{d}'}{p_close}"
+            )
+        out.append(
+            f"{sep}{row_open}"
+            f"{'[' + ','.join(map(in_label, x)) + in_close if x else '[]'}"
+            f"{row_out}{entry_sep.join(entries)}{row_close}"
+        )
+        sep = "," + i2
+    out.append(i1 + "]" + nl + "}")
 
 
 def _require(doc: Any, key: str, kind, where: str) -> Any:
@@ -178,27 +250,43 @@ def obj_from_json(doc: Any, where: str = "obj") -> Obj:
 # -- kernels ----------------------------------------------------------------
 
 
-def kernel_to_json(k: SubKernel) -> dict:
-    rows = []
-    for x in sorted(k.rows):
-        row = k.rows[x]
-        rows.append(
-            {
-                "in": list(x),
-                "out": [
-                    {"val": list(y), "p": format_fraction(row[y])}
-                    for y in sorted(row)
-                ],
-            }
-        )
-    return {
-        "dom": obj_to_json(k.dom),
-        "cod": obj_to_json(k.cod),
-        "rows": rows,
-    }
+_KERNEL_KEYS = ("dom", "cod", "rows")
+
+
+class KernelJSON(Mapping):
+    """A kernel as a read-only JSON object; see the module docstring.
+
+    Every read renders the kernel with to_text and parses the text back,
+    so it returns fresh plain values and agrees with the text byte for
+    byte.  Reads are for tests and small payloads; writing goes through
+    to_text, which reads k.rows directly.
+    """
+
+    __slots__ = ("kernel",)
+
+    def __init__(self, kernel: SubKernel) -> None:
+        self.kernel = kernel
+
+    def __getitem__(self, key: str) -> Any:
+        return json.loads(to_text(self))[key]
+
+    def __iter__(self):
+        return iter(_KERNEL_KEYS)
+
+    def __len__(self) -> int:
+        return len(_KERNEL_KEYS)
+
+    def __repr__(self) -> str:
+        return f"KernelJSON({self.kernel!r})"
+
+
+def kernel_to_json(k: SubKernel) -> KernelJSON:
+    return KernelJSON(k)
 
 
 def kernel_from_json(doc: Any, where: str = "kernel") -> SubKernel:
+    if type(doc) is KernelJSON:
+        return doc.kernel
     dom = obj_from_json(_require(doc, "dom", list, where), where + ".dom")
     cod = obj_from_json(_require(doc, "cod", list, where), where + ".cod")
     rows_doc = _require(doc, "rows", list, where)
@@ -404,15 +492,16 @@ def problem_from_json(doc: Any) -> E.DecisionProblem:
     actions = alphabet_from_json(
         _require(doc, "actions", dict, where), where + ".actions"
     )
-    environment = kernel_from_json(
-        _require(doc, "environment", dict, where), where + ".environment"
-    )
-    agent = kernel_from_json(
-        _require(doc, "agent", dict, where), where + ".agent"
-    )
-    consequence = kernel_from_json(
-        _require(doc, "consequence", dict, where), where + ".consequence"
-    )
+
+    def kernel_at(key: str) -> SubKernel:
+        value = doc.get(key)
+        if type(value) is KernelJSON:
+            return value.kernel
+        return kernel_from_json(_require(doc, key, dict, where), f"{where}.{key}")
+
+    environment = kernel_at("environment")
+    agent = kernel_at("agent")
+    consequence = kernel_at("consequence")
     utilities_doc = _require(doc, "utilities", dict, where)
     utilities = {
         label: parse_fraction(value) for label, value in utilities_doc.items()

@@ -1,8 +1,9 @@
 """Seeded random instances and a registry of exactly checked laws.
 
 Every law is a function from a deterministic RNG to either None (the
-instance passed) or a JSON-serializable counterexample payload holding
-the generated data and both sides of the failed equation.  check_law
+instance passed) or a counterexample payload, which codec.to_text
+writes, holding the generated data and both sides of the failed
+equation.  check_law
 runs a law over derived per-case seeds, so identical (law, instances,
 seed) triples produce byte-identical reports.
 

@@ -17,7 +17,7 @@ BO = obj(B)
 
 
 def write_json(path, payload):
-    path.write_text(json.dumps(payload))
+    path.write_text(codec.to_text(payload))
     return str(path)
 
 
@@ -129,7 +129,7 @@ def test_normalise_command(tmp_path, capsys):
 
 
 def test_normalise_rejects_negative_entry_hidden_by_repeat(tmp_path, capsys):
-    doc = codec.kernel_to_json(state(BO, {"f": Fraction(1, 2)}))
+    doc = dict(codec.kernel_to_json(state(BO, {"f": Fraction(1, 2)})))
     doc["rows"][0]["out"] += [
         {"val": ["t"], "p": "-1/2"},
         {"val": ["t"], "p": "1/2"},
@@ -146,7 +146,7 @@ def test_normalise_rejects_negative_entry_hidden_by_repeat(tmp_path, capsys):
 )
 def test_normalise_rejects_int_past_the_digit_limit(tmp_path, capsys):
     # json.loads raises a plain ValueError for an int of over 4300 digits.
-    text = json.dumps(codec.kernel_to_json(coin_kernel()))
+    text = codec.to_text(codec.kernel_to_json(coin_kernel()))
     path = tmp_path / "k.json"
     path.write_text(text.replace('"1/2"', "1" * 5000, 1))
     assert cli.main(["normalise", str(path)]) == 1

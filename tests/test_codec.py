@@ -70,6 +70,26 @@ def test_strings_outside_the_rational_grammar_are_refused(text):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize(
+    "text",
+    # Fraction() spent about 0.25 s on the first before int() refused it.
+    ["0." + "1" * 10**6, "1" * 4301, "1/" + "7" * 4301, "." + "3" * 4301, "2." + "3" * 4301],
+)
+def test_digit_runs_past_the_int_limit_are_refused_fast(text):
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        codec.parse_fraction(text)
+    assert str(err.value) == f"not a rational: {text!r}"
+    assert time.perf_counter() - start < 0.5
+
+
+def test_digit_runs_up_to_the_int_limit_are_read():
+    n = 10**4300 - 1
+    assert codec.parse_fraction("9" * 4300) == n
+    assert codec.parse_fraction(f"1/{n}") == Fraction(1, n)
+    assert codec.parse_fraction("0." + "9" * 4300) == Fraction(n, n + 1)
+
+
 # -- the indent-2 writer ----------------------------------------------------
 
 # Quotes, backslashes, control characters and non-ASCII text, among others.

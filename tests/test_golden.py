@@ -1,14 +1,22 @@
 """Byte-for-byte golden outputs: the CLI, scripts/solve_corpus.py and the
 random kernel generators.
 
-Every file under tests/golden/ except the two eval inputs
-(dense_env.json, dense_chain.json) is an output, pinned so that a
-change to parsing, arithmetic or emission cannot alter a byte
-unnoticed.  Regenerating one is a deliberate act:
+Every file under tests/golden/ except the eval inputs (*_env.json,
+dense_chain.json, wide_tensor.json, unit_cod.json, all_fail.json) is
+an output, pinned so that a change to parsing, arithmetic or emission
+cannot alter a byte unnoticed.  Regenerating one is a deliberate act:
 
     pmc laws --cases 50 --seed 7 [--format json]  > laws_50_seed7.{txt,json}
     python scripts/solve_corpus.py [--format json] > solve_corpus.{tsv,json}
     pmc eval dense_chain.json --env dense_env.json > dense_chain.out.json
+    pmc eval wide_tensor.json --env wide_env.json > wide_tensor.out.json
+    pmc eval unit_cod.json --env unit_env.json > unit_cod.out.json
+    pmc eval all_fail.json --env unit_env.json > all_fail.out.json
+    pmc corpus newcomb > corpus_newcomb.json
+
+After dense_chain they cover a tensor of wiring and a unit-domain
+generator, a unit codomain with labels json escapes, a kernel that
+always fails, and kernels nested in a problem.
 
 and random_kernels.txt is the text random_kernels_text() below returns.
 """
@@ -46,15 +54,19 @@ def _solve_corpus_main():
             ["laws", "--cases", "50", "--seed", "7", "--format", "json"],
             "laws_50_seed7.json",
         ),
-        (
-            [
-                "eval",
-                str(GOLDEN / "dense_chain.json"),
-                "--env",
-                str(GOLDEN / "dense_env.json"),
-            ],
-            "dense_chain.out.json",
+        *(
+            (
+                ["eval", str(GOLDEN / f"{term}.json"), "--env", str(GOLDEN / env)],
+                f"{term}.out.json",
+            )
+            for term, env in (
+                ("dense_chain", "dense_env.json"),
+                ("wide_tensor", "wide_env.json"),
+                ("unit_cod", "unit_env.json"),
+                ("all_fail", "unit_env.json"),
+            )
         ),
+        (["corpus", "newcomb"], "corpus_newcomb.json"),
     ],
 )
 def test_cli_output_matches_golden(argv, golden, capsys):

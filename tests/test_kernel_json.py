@@ -1,0 +1,160 @@
+"""kernel_to_json's KernelJSON: the writer against json.dumps, and the
+read-only view's contract."""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+from types import SimpleNamespace
+
+import hypothesis.strategies as st
+import pytest
+from conftest import kernels
+from hypothesis import example, given
+
+from pmc import codec, edt, laws
+from pmc import kernel as K
+from pmc.kernel import Alphabet, UNIT, obj
+
+# Labels that json escapes: quotes, backslash, control characters and
+# non-ASCII text.  conftest's alphabets use a, b, c and d.
+_AWKWARD = {"a": 'q"', "b": "\\", "c": "\x01\n", "d": "é☃"}
+B = Alphabet("bool", ("t", "f"))
+S = Alphabet("s", ('q"', "\\", "\x01\n", "é☃"))
+
+
+def _relabel(k: K.SubKernel) -> K.SubKernel:
+    def alpha(o: K.Obj) -> K.Obj:
+        return K.Obj(
+            tuple(Alphabet(a.name, tuple(map(_AWKWARD.get, a.labels))) for a in o.factors)
+        )
+
+    return K.make_kernel(
+        alpha(k.dom),
+        alpha(k.cod),
+        {
+            tuple(map(_AWKWARD.get, x)): {
+                tuple(map(_AWKWARD.get, y)): p for y, p in row.items()
+            }
+            for x, row in k.rows.items()
+        },
+    )
+
+
+def _plain(k: K.SubKernel) -> dict:
+    """The kernel's JSON object built eagerly, as kernel_to_json once did."""
+    return {
+        "dom": codec.obj_to_json(k.dom),
+        "cod": codec.obj_to_json(k.cod),
+        "rows": [
+            {
+                "in": list(x),
+                "out": [
+                    {"val": list(y), "p": codec.format_fraction(k.rows[x][y])}
+                    for y in sorted(k.rows[x])
+                ],
+            }
+            for x in sorted(k.rows)
+        ],
+    }
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+_EXAMPLES = [
+    # A unit domain, and a unit codomain.
+    K.make_kernel(UNIT, obj(B), {(): {"t": Fraction(1, 3), "f": Fraction(1, 2)}}),
+    K.make_kernel(obj(B), UNIT, {"t": {(): Fraction(2, 3)}, "f": {(): 1}}),
+    # The kernel that always fails.
+    K.make_kernel(obj(B), obj(B, B), {}),
+    # Whole-number entries only.
+    K.make_kernel(obj(B), obj(B), {"t": {"f": 1}, "f": {"f": 1}}),
+    K.make_kernel(UNIT, UNIT, {(): {(): 1}}),
+    # Labels that need escaping, in both directions.
+    K.make_kernel(
+        obj(S), obj(S, B), {'q"': {("\\", "t"): Fraction(1, 4)}, "é☃": {("\x01\n", "f"): 1}}
+    ),
+]
+
+
+@given(st.one_of(kernels(), kernels().map(_relabel)))
+@example(_EXAMPLES[0])
+@example(_EXAMPLES[1])
+@example(_EXAMPLES[2])
+@example(_EXAMPLES[3])
+@example(_EXAMPLES[4])
+@example(_EXAMPLES[5])
+def test_writer_matches_json_dumps_at_every_depth(k):
+    plain = _plain(k)
+    assert codec.to_text(codec.kernel_to_json(k)) == _dumps(plain)
+
+    names = {a.name: a for a in k.dom.factors + k.cod.factors}
+    env = codec.env_to_json(names, {"k": k, "again": k})
+    assert codec.to_text(env) == _dumps(
+        {"alphabets": env["alphabets"], "kernels": {"again": plain, "k": plain}}
+    )
+
+    # problem_to_json only reads the fields, so k can stand for the
+    # environment and the agent here.
+    newcomb = edt.newcomb()
+    problem = codec.problem_to_json(
+        SimpleNamespace(**{**vars(newcomb), "environment": k, "agent": k})
+    )
+    assert codec.to_text(problem) == _dumps(
+        {
+            **problem,
+            "environment": plain,
+            "agent": plain,
+            "consequence": _plain(newcomb.consequence),
+        }
+    )
+
+    counterexample = laws._mismatch("k = k", lhs=k, rhs=k, at=("x",))
+    report = laws.Report("law", 2, 1, 1, {"case": 1, **counterexample})
+    expected = {"case": 1, "equation": "k = k", "lhs": plain, "rhs": plain, "at": ["x"]}
+    assert codec.report_to_text(report) == (
+        "law: FAIL (1/2 failing)\ncounterexample: " + _dumps(expected)
+    )
+    assert codec.to_text([codec.report_to_json(report)]) == _dumps(
+        [{"law": "law", "instances": 2, "passes": 1, "failures": 1, "counterexample": expected}]
+    )
+
+
+@pytest.mark.parametrize("k", _EXAMPLES)
+def test_view_reads_as_the_plain_json_object(k):
+    p = codec.kernel_to_json(k)
+    plain = _plain(k)
+    assert p == plain and plain == p
+    assert list(p) == ["dom", "cod", "rows"] and len(p) == 3
+    assert p["rows"] == plain["rows"]
+    assert "rows" in p and "val" not in p
+    with pytest.raises(KeyError):
+        p["val"]
+    assert codec.kernel_from_json(p) == k
+    assert p == codec.kernel_to_json(k)
+
+
+def test_view_reads_are_fresh_and_writes_are_refused():
+    k = _EXAMPLES[0]
+    p = codec.kernel_to_json(k)
+    p["rows"].clear()
+    p["dom"].append("junk")
+    assert p == _plain(k)
+    with pytest.raises(TypeError):
+        p["rows"] = []
+    with pytest.raises(TypeError):
+        del p["rows"]
+
+    doc = dict(p)
+    assert type(doc) is dict and doc == _plain(k)
+    doc["rows"][0]["out"].pop()
+    assert p == _plain(k)
+    assert codec.kernel_from_json(doc) != k
+
+
+def test_problems_round_trip_through_views():
+    for build in edt.CORPUS.values():
+        problem = build()
+        assert codec.problem_from_json(codec.problem_to_json(problem)) == problem

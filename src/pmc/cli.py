@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on validation or parse errors (including
-TermTooDeep, an input nested too deeply to evaluate), 2 when an
+TermTooDeep, a document whose terms nest thousands of levels deep; a
+flat compose or tensor list of any length is one level), 2 when an
 inference result is mathematically undefined (impossible evidence, no
 feasible action, undefined utility).  Errors go to standard error as
 "error: <Code>: <message>".

@@ -345,10 +345,15 @@ def env_from_json(doc: Any) -> tuple[dict[str, Alphabet], dict[str, SubKernel]]:
             )
         alphabets[a.name] = a
 
-    for i, a_doc in enumerate(doc.get("alphabets", []) if isinstance(doc, dict) else ()):
+    if not isinstance(doc, dict):
+        raise SchemaError("env: expected an object")
+    alphabets_doc = doc.get("alphabets", [])
+    if not isinstance(alphabets_doc, list):
+        raise SchemaError("env.alphabets: expected a list")
+    for i, a_doc in enumerate(alphabets_doc):
         record(alphabet_from_json(a_doc, f"env.alphabets[{i}]"))
     kernels: dict[str, SubKernel] = {}
-    kernels_doc = doc.get("kernels", {}) if isinstance(doc, dict) else {}
+    kernels_doc = doc.get("kernels", {})
     if not isinstance(kernels_doc, dict):
         raise SchemaError("env.kernels: expected an object")
     for name, k_doc in kernels_doc.items():
@@ -390,30 +395,10 @@ def term_to_json(term: D.Term) -> dict:
             return {"op": "swap", "left": _obj_names(x), "right": _obj_names(y)}
         case D.Observe(x, point):
             return {"op": "observe", "obj": _obj_names(x), "point": list(point)}
-        case D.Compose():
-            parts: list[D.Term] = []
-
-            def flat_c(t: D.Term) -> None:
-                if isinstance(t, D.Compose):
-                    flat_c(t.first)
-                    flat_c(t.second)
-                else:
-                    parts.append(t)
-
-            flat_c(term)
-            return {"op": "compose", "terms": [term_to_json(p) for p in parts]}
-        case D.Tensor():
-            parts = []
-
-            def flat_t(t: D.Term) -> None:
-                if isinstance(t, D.Tensor):
-                    flat_t(t.left)
-                    flat_t(t.right)
-                else:
-                    parts.append(t)
-
-            flat_t(term)
-            return {"op": "tensor", "terms": [term_to_json(p) for p in parts]}
+        case D.Compose(terms):
+            return {"op": "compose", "terms": [term_to_json(t) for t in terms]}
+        case D.Tensor(terms):
+            return {"op": "tensor", "terms": [term_to_json(t) for t in terms]}
     raise SchemaError(f"not a term: {term!r}")
 
 
@@ -457,15 +442,12 @@ def term_from_json(
         terms_doc = _require(doc, "terms", list, where)
         if not terms_doc:
             raise SchemaError(f"{where}: empty {op!r} term list")
-        parts = [
-            term_from_json(t, alphabets, kernels, f"{where}.terms[{i}]")
-            for i, t in enumerate(terms_doc)
-        ]
-        out = parts[0]
-        ctor = D.Compose if op == "compose" else D.Tensor
-        for p in parts[1:]:
-            out = ctor(out, p)
-        return out
+        return (D.Compose if op == "compose" else D.Tensor)(
+            *(
+                term_from_json(t, alphabets, kernels, f"{where}.terms[{i}]")
+                for i, t in enumerate(terms_doc)
+            )
+        )
     raise SchemaError(f"{where}: unknown op {op!r}")
 
 

@@ -1,7 +1,12 @@
 """String-diagram terms and their kernel semantics.
 
 Terms are a free syntax over generators, structural maps, and an
-explicit observation node.  evaluate interprets any well-typed term as
+explicit observation node.  Composition and tensor are strictly
+associative, so Compose and Tensor are n-ary: Compose(a, b, c) is one
+node holding terms (a, b, c), with no bracketing to choose.  A subterm's
+path is "t" followed by ".terms[i]" per level, as the codec's JSON paths
+are "diagram" followed by the same steps, so an IllTyped message names
+its place in the document.  evaluate interprets any well-typed term as
 a subdistribution kernel.  normal_form factors a term built from total
 generators and observations into a pair (g, h): a total kernel g giving
 the outcome distribution where the term can succeed, and a total
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import kernel as K
 from .errors import IllTyped, NonTotalGenerator
@@ -32,18 +38,22 @@ class Id:
     obj: Obj
 
 
-@dataclass(frozen=True)
-class Compose:
-    """first ; second, in diagrammatic order."""
+@dataclass(frozen=True, init=False)
+class _Nary:
+    terms: tuple["Term", ...]
 
-    first: "Term"
-    second: "Term"
+    def __init__(self, *terms: "Term") -> None:
+        if not terms:
+            raise IllTyped(f"{type(self).__name__} of no terms")
+        object.__setattr__(self, "terms", terms)
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: "Term"
-    right: "Term"
+class Compose(_Nary):
+    """terms[0] ; terms[1] ; ..., in diagrammatic order."""
+
+
+class Tensor(_Nary):
+    """terms[0] (x) terms[1] (x) ..., side by side."""
 
 
 @dataclass(frozen=True)
@@ -104,18 +114,21 @@ def _infer(term: Term, path: str) -> tuple[Obj, Obj]:
             return x.tensor(x), x
         case Observe(x, _):
             return x, UNIT
-        case Compose(a, b):
-            da, ca = _infer(a, path + ".first")
-            db, cb = _infer(b, path + ".second")
-            if ca != db:
-                raise IllTyped(
-                    f"at {path}: cannot compose {ca!r} into {db!r}"
-                )
-            return da, cb
-        case Tensor(a, b):
-            da, ca = _infer(a, path + ".left")
-            db, cb = _infer(b, path + ".right")
-            return da.tensor(db), ca.tensor(cb)
+        case Compose(terms):
+            dom, cod = _infer(terms[0], path + ".terms[0]")
+            for i in range(1, len(terms)):
+                at = f"{path}.terms[{i}]"
+                d, c = _infer(terms[i], at)
+                if cod != d:
+                    raise IllTyped(f"at {at}: cannot compose {cod!r} into {d!r}")
+                cod = c
+            return dom, cod
+        case Tensor(terms):
+            dom = cod = UNIT
+            for i, t in enumerate(terms):
+                d, c = _infer(t, f"{path}.terms[{i}]")
+                dom, cod = dom.tensor(d), cod.tensor(c)
+            return dom, cod
     raise IllTyped(f"at {path}: not a term: {term!r}")
 
 
@@ -142,10 +155,10 @@ def evaluate(term: Term) -> SubKernel:
             return K.compare(x)
         case Observe(x, point):
             return observe_kernel(x, point)
-        case Compose(a, b):
-            return K.compose(evaluate(a), evaluate(b))
-        case Tensor(a, b):
-            return K.tensor(evaluate(a), evaluate(b))
+        case Compose(terms):
+            return reduce(K.compose, map(evaluate, terms))
+        case Tensor(terms):
+            return reduce(K.tensor, map(evaluate, terms))
     raise IllTyped(f"not a term: {term!r}")
 
 
@@ -154,10 +167,7 @@ def observe_as_comparator(at: Obj, point) -> Term:
     expected point, compare, then discard the surviving wire."""
     out = _as_outcome(point, at, "point")
     point_gen = Gen("point:" + ",".join(out), K.dirac(at, out))
-    return Compose(
-        Compose(Tensor(Id(at), point_gen), Compare(at)),
-        Discard(at),
-    )
+    return Compose(Tensor(Id(at), point_gen), Compare(at), Discard(at))
 
 
 BOOL = Alphabet("bool", ("t", "f"))
@@ -247,19 +257,21 @@ def _nf(term: Term) -> NormalForm:
             raise NonTotalGenerator("comparator is not a constrained process")
         case Observe(x, point):
             return NormalForm(K.discard(x), _indicator(x, point))
-        case Tensor(a, b):
-            na, nb = _nf(a), _nf(b)
-            sa, sb = _success_probs(na.h), _success_probs(nb.h)
-            dom = na.g.dom.tensor(nb.g.dom)
-            probs = {
-                xa + xb: pa * pb
-                for xa, pa in sa.items()
-                for xb, pb in sb.items()
-            }
-            return NormalForm(K.tensor(na.g, nb.g), _bool_kernel(dom, probs))
-        case Compose(a, b):
-            return _nf_compose(_nf(a), _nf(b))
+        case Tensor(terms):
+            return reduce(_nf_tensor, map(_nf, terms))
+        case Compose(terms):
+            return reduce(_nf_compose, map(_nf, terms))
     raise IllTyped(f"not a term: {term!r}")
+
+
+def _nf_tensor(left: NormalForm, right: NormalForm) -> NormalForm:
+    """Combine normal forms side by side: success probabilities multiply."""
+    sa, sb = _success_probs(left.h), _success_probs(right.h)
+    dom = left.g.dom.tensor(right.g.dom)
+    probs = {
+        xa + xb: pa * pb for xa, pa in sa.items() for xb, pb in sb.items()
+    }
+    return NormalForm(K.tensor(left.g, right.g), _bool_kernel(dom, probs))
 
 
 def _nf_compose(first: NormalForm, second: NormalForm) -> NormalForm:

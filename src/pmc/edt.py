@@ -119,10 +119,8 @@ def model_term(problem: DecisionProblem) -> Term:
     c = problem.condition_obj
     a = problem.action_obj
     return Compose(
-        Compose(
-            Gen("environment", problem.environment),
-            Tensor(Id(c), Compose(Gen("agent", problem.agent), Copy(a))),
-        ),
+        Gen("environment", problem.environment),
+        Tensor(Id(c), Compose(Gen("agent", problem.agent), Copy(a))),
         Tensor(Gen("consequence", problem.consequence), Id(a)),
     )
 

@@ -72,8 +72,8 @@ class SchemaError(PmcError):
 
 class TermTooDeep(PmcError):
     """An input nests more deeply than the interpreter's recursion limit
-    allows; a compose or tensor of a few thousand terms is one level
-    deeper per term."""
+    allows, such as a compose written inside a compose a few thousand
+    levels deep.  A flat term list is one level, whatever its length."""
 
 
 class InferenceUndefined(PmcError):

@@ -548,12 +548,9 @@ def _law_synthetic_bayes(rng: Random) -> Optional[dict]:
     point = _rand_point(rng, y)
     term = D.Compose(
         D.Gen("prior", prior),
-        D.Compose(
-            D.Copy(x),
-            D.Tensor(
-                D.Id(x),
-                D.Compose(D.Gen("channel", channel), D.Observe(y, point)),
-            ),
+        D.Copy(x),
+        D.Tensor(
+            D.Id(x), D.Compose(D.Gen("channel", channel), D.Observe(y, point))
         ),
     )
     constrained = D.evaluate(term)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
-from pmc.kernel import Alphabet, Obj, SubKernel, make_kernel
+from pmc.kernel import Alphabet, Obj, SubKernel
+from pmc.laws import random_kernel
 
 settings.register_profile(
     "exact",
@@ -35,26 +36,14 @@ def objects(draw, max_factors: int = 2, max_size: int = 3, min_factors: int = 0)
 
 @st.composite
 def kernels(draw, dom: Obj | None = None, cod: Obj | None = None) -> SubKernel:
+    """A kernel from laws.random_kernel, the generator the law suite uses."""
     if dom is None:
         dom = draw(objects())
     if cod is None:
         cod = draw(objects())
-    outs = list(cod.outcomes())
-    table = {}
-    for x in dom.outcomes():
-        if not draw(st.booleans()):
-            continue
-        weights = draw(
-            st.lists(st.integers(0, 6), min_size=len(outs), max_size=len(outs))
-        )
-        slack = draw(st.integers(0, 6))
-        den = sum(weights) + slack
-        if den == 0:
-            continue
-        table[x] = {
-            y: Fraction(w, den) for y, w in zip(outs, weights) if w
-        }
-    return make_kernel(dom, cod, table)
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = Fraction(draw(st.integers(0, 10)), 10)
+    return random_kernel(seed, dom, cod, density)
 
 
 @st.composite

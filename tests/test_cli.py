@@ -96,17 +96,42 @@ def test_eval_bad_kernel_exits_1(tmp_path, capsys):
     assert "RowMassExceedsOne" in capsys.readouterr().err
 
 
-def test_eval_deep_compose_exits_1_without_traceback(tmp_path, capsys):
-    env = write_json(
+def bit_env(tmp_path):
+    return write_json(
         tmp_path / "env.json", {"alphabets": [{"name": "bit", "labels": ["0", "1"]}]}
     )
+
+
+def test_eval_flat_compose_of_3000_terms_exits_0(tmp_path, capsys):
     term = write_json(
-        tmp_path / "deep.json",
+        tmp_path / "flat.json",
         {"op": "compose", "terms": [{"op": "id", "obj": ["bit"]}] * 3000},
     )
-    assert cli.main(["eval", term, "--env", env]) == 1
+    assert cli.main(["eval", term, "--env", bit_env(tmp_path)]) == 0
+    bit = obj(Alphabet("bit", ("0", "1")))
+    assert capsys.readouterr().out == codec.to_text(
+        codec.kernel_to_json(K.identity(bit))
+    )
+
+
+def test_eval_deep_compose_exits_1_without_traceback(tmp_path, capsys):
+    # Each compose holds the next as its only term: 3000 levels of nesting.
+    leaf = '{"op": "id", "obj": ["bit"]}'
+    term = tmp_path / "deep.json"
+    term.write_text('{"op": "compose", "terms": [' * 3000 + leaf + "]}" * 3000)
+    assert cli.main(["eval", str(term), "--env", bit_env(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: TermTooDeep:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("env", [{"alphabets": 5}, [1]])
+def test_eval_malformed_env_exits_1(tmp_path, capsys, env):
+    term = write_json(tmp_path / "t.json", {"op": "id", "obj": []})
+    path = write_json(tmp_path / "env.json", env)
+    assert cli.main(["eval", term, "--env", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaError: env")
     assert "Traceback" not in err
 
 

@@ -17,6 +17,7 @@ from pmc import diagram as D
 from pmc import kernel as K
 from pmc.errors import (
     NegativeProbability,
+    PmcError,
     RowMassExceedsOne,
     SchemaError,
     UnknownLabel,
@@ -456,6 +457,7 @@ def test_term_compose_list_folds_left():
         ],
     }
     term = codec.term_from_json(doc, {"bool": B}, {})
+    assert term == D.Compose(D.Id(BO), D.Copy(BO), D.Swap(BO, BO))
     assert D.infer_type(term) == (BO, BO.tensor(BO))
     assert codec.term_to_json(term) == doc
 
@@ -514,6 +516,120 @@ def test_problem_from_json_runs_validation():
     del doc["utilities"]["1000"]
     with pytest.raises(UnknownLabel):
         codec.problem_from_json(doc)
+
+
+# -- parsers on hostile documents -------------------------------------------
+
+_KEYS = ["op", "terms", "name", "obj", "left", "right", "point", "alphabets"]
+_KEYS += ["kernels", "labels", "dom", "cod", "rows", "in", "out", "val", "p"]
+_KEYS += ["actions", "environment", "agent", "consequence", "utilities"]
+_WORDS = _KEYS + ["gen", "id", "copy", "discard", "compare", "swap", "observe"]
+_WORDS += ["compose", "tensor", "bool", "coin", "t", "f", "1/2", "-1", ""]
+_json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-2, 2),
+        st.floats(),
+        st.sampled_from(_WORDS),
+        st.text(max_size=3),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(
+            st.one_of(st.sampled_from(_KEYS), st.text(max_size=3)), inner, max_size=4
+        ),
+    ),
+    max_leaves=20,
+)
+
+
+def _plain(payload):
+    return json.loads(codec.to_text(payload))
+
+
+_ENV = _plain(
+    codec.env_to_json(
+        {"bool": B}, {"coin": coin(), "flip": K.swap(BO, BO), "keep": K.copy(BO)}
+    )
+)
+_ALPHABETS, _KERNELS = codec.env_from_json(_ENV)
+_TERM = codec.term_to_json(
+    D.Compose(
+        D.Gen("coin", coin()),
+        D.Copy(BO),
+        D.Tensor(D.Id(BO), D.Observe(BO, ("t",)), D.Discard(UNIT)),
+        D.Compose(D.Copy(BO), D.Swap(BO, BO), D.Compare(BO)),
+    )
+)
+_PROBLEM = _plain(codec.problem_to_json(edt.newcomb()))
+
+
+def _spots(doc):
+    """Every (container, key) pair inside doc."""
+    spots, todo = [], [doc]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, dict):
+            items = list(node.items())
+        elif isinstance(node, list):
+            items = list(enumerate(node))
+        else:
+            continue
+        for key, value in items:
+            spots.append((node, key))
+            todo.append(value)
+    return spots
+
+
+@st.composite
+def mutated(draw, valid):
+    """valid with one to three parts replaced by random values or by
+    copies of other parts, or deleted."""
+    doc = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        spots = _spots(doc)
+        if not spots:
+            break
+        node, key = spots[draw(st.integers(0, len(spots) - 1))]
+        how = draw(st.sampled_from(["replace", "graft", "delete"]))
+        if how == "replace":
+            node[key] = draw(_json_values)
+        elif how == "graft":
+            other, at = spots[draw(st.integers(0, len(spots) - 1))]
+            node[key] = copy.deepcopy(other[at])
+        else:
+            del node[key]
+    return doc
+
+
+def _returns_or_refuses(parse, doc):
+    """parse(doc) may return or raise a PmcError; any other exception
+    escapes and fails the test."""
+    try:
+        parse(doc)
+    except PmcError:
+        pass
+
+
+def _term_and_type(doc):
+    D.infer_type(codec.term_from_json(doc, _ALPHABETS, _KERNELS))
+
+
+@given(st.one_of(_json_values, mutated(_TERM)))
+def test_term_parser_returns_or_refuses(doc):
+    _returns_or_refuses(_term_and_type, doc)
+
+
+@given(st.one_of(_json_values, mutated(_ENV)))
+@example({"alphabets": 5})
+def test_env_parser_returns_or_refuses(doc):
+    _returns_or_refuses(codec.env_from_json, doc)
+
+
+@given(st.one_of(_json_values, mutated(_PROBLEM)))
+def test_problem_parser_returns_or_refuses(doc):
+    _returns_or_refuses(codec.problem_from_json, doc)
 
 
 # -- prescriptions and reports ----------------------------------------------

@@ -1,5 +1,15 @@
 """Marginals, conditionals, normalisation, and Bayesian inversion.
 
+Each operation is a composite of the kernel operations, as in the
+paper's synthetic definitions, with graph(f) = copy ; (f (x) id):
+
+    marginal(f, k)          f relabelled onto its first k factors
+    conditional(f, k)       normalise(bend(f, k))
+    cond_compose(m, c)      graph(m) ; c, with c re-emitting its A input
+    bayes_invert(c, p)      conditional(p ; graph(c), |Y|)
+    pearl_update(p, c, q)   normalise(p ; graph(c ; q))
+    jeffrey_update(p, c, e) e ; bayes_invert(c, p)
+
 All operations are exact.  Conditioning on an outcome of probability
 zero never invents numbers: the affected row is simply all-fail, except
 for the two update rules, which raise ImpossibleEvidence when the whole
@@ -8,18 +18,9 @@ posterior would be undefined.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import kernel as K
-from .errors import BadSplit, ImpossibleEvidence, NotTotal, TypeMismatch
-from .kernel import Obj, Outcome, Row, SubKernel, UNIT
-
-
-def _check_split(f: SubKernel, split: int) -> None:
-    if not 0 <= split <= len(f.cod.factors):
-        raise BadSplit(
-            f"split {split} outside 0..{len(f.cod.factors)} for codomain {f.cod!r}"
-        )
+from .errors import ImpossibleEvidence, NotTotal, TypeMismatch
+from .kernel import SubKernel, UNIT, normalise
 
 
 def marginal(f: SubKernel, split: int) -> SubKernel:
@@ -28,15 +29,8 @@ def marginal(f: SubKernel, split: int) -> SubKernel:
     Equals f ; (id (x) discard) on the dropped factors; split 0 gives the
     success-mass kernel, split len(cod) gives f itself.
     """
-    _check_split(f, split)
-    rows: dict[Outcome, Row] = {}
-    for x, row in f.rows.items():
-        acc: Row = {}
-        for y, p in row.items():
-            a = y[:split]
-            acc[a] = acc.get(a, Fraction(0)) + p
-        rows[x] = acc
-    return SubKernel(f.dom, Obj(f.cod.factors[:split]), rows)
+    kept, _ = K.split_cod(f, split)
+    return K.relabel(f, lambda x, y: y[:split], kept)
 
 
 def conditional(f: SubKernel, split: int) -> SubKernel:
@@ -47,20 +41,7 @@ def conditional(f: SubKernel, split: int) -> SubKernel:
     Inputs whose marginal is zero get an all-fail row, which makes the
     conditional quasi-total.
     """
-    _check_split(f, split)
-    a_obj = Obj(f.cod.factors[:split])
-    b_obj = Obj(f.cod.factors[split:])
-    rows: dict[Outcome, Row] = {}
-    for x, row in f.rows.items():
-        masses: dict[Outcome, Fraction] = {}
-        groups: dict[Outcome, Row] = {}
-        for y, p in row.items():
-            a, b = y[:split], y[split:]
-            masses[a] = masses.get(a, Fraction(0)) + p
-            groups.setdefault(a, {})[b] = p
-        for a, m in masses.items():
-            rows[a + x] = {b: p / m for b, p in groups[a].items()}
-    return SubKernel(Obj(a_obj.factors + f.dom.factors), b_obj, rows)
+    return normalise(K.bend(f, split))
 
 
 def cond_compose(m: SubKernel, c: SubKernel) -> SubKernel:
@@ -70,30 +51,9 @@ def cond_compose(m: SubKernel, c: SubKernel) -> SubKernel:
         raise TypeMismatch(
             f"conditional domain {c.dom!r} is not {m.cod!r} (x) {m.dom!r}"
         )
-    rows: dict[Outcome, Row] = {}
-    for x, mrow in m.rows.items():
-        acc: Row = {}
-        for a, p in mrow.items():
-            crow = c.rows.get(a + x)
-            if not crow:
-                continue
-            for b, q in crow.items():
-                acc[a + b] = p * q
-        if acc:
-            rows[x] = acc
-    return SubKernel(m.dom, m.cod.tensor(c.cod), rows)
-
-
-def normalise(f: SubKernel) -> SubKernel:
-    """Divide every row by its mass; all-fail rows stay all-fail.
-
-    The result is quasi-total and normalisation is idempotent.
-    """
-    rows: dict[Outcome, Row] = {}
-    for x, row in f.rows.items():
-        m = sum(row.values(), Fraction(0))
-        rows[x] = {y: p / m for y, p in row.items()}
-    return SubKernel(f.dom, f.cod, rows)
+    n = len(m.cod.factors)
+    keep_a = K.relabel(c, lambda ax, b: ax[:n] + b, m.cod.tensor(c.cod))
+    return K.compose(K.graph(m), keep_a)
 
 
 def bayes_invert(channel: SubKernel, prior: SubKernel) -> SubKernel:
@@ -110,17 +70,8 @@ def bayes_invert(channel: SubKernel, prior: SubKernel) -> SubKernel:
             f"prior must be a state on {channel.dom!r}, got "
             f"{prior.dom!r} -> {prior.cod!r}"
         )
-    joint: dict[Outcome, Row] = {}
-    push: dict[Outcome, Fraction] = {}
-    for x, px in prior.rows.get((), {}).items():
-        for y, q in channel.rows.get(x, {}).items():
-            w = px * q
-            joint.setdefault(y, {})[x] = w
-            push[y] = push.get(y, Fraction(0)) + w
-    rows = {
-        y: {x: w / push[y] for x, w in row.items()} for y, row in joint.items()
-    }
-    return SubKernel(channel.cod, channel.dom, rows)
+    joint = K.compose(prior, K.graph(channel))
+    return conditional(joint, len(channel.cod.factors))
 
 
 def pearl_update(
@@ -136,21 +87,13 @@ def pearl_update(
         raise TypeMismatch("prior must be a state on the channel domain")
     if predicate.dom != channel.cod or predicate.cod != UNIT:
         raise TypeMismatch("predicate must map the channel codomain to scalars")
-    weights: Row = {}
-    for x, px in prior.rows.get((), {}).items():
-        w = Fraction(0)
-        for y, q in channel.rows.get(x, {}).items():
-            w += q * predicate.rows.get(y, {}).get((), Fraction(0))
-        if w:
-            weights[x] = px * w
-    total = sum(weights.values(), Fraction(0))
-    if total == 0:
+    weights = K.graph(K.compose(channel, predicate))
+    posterior = normalise(K.compose(prior, weights))
+    if posterior.mass(()) == 0:
         raise ImpossibleEvidence(
             "predicate has zero probability under prior and channel"
         )
-    return SubKernel(
-        UNIT, prior.cod, {(): {x: w / total for x, w in weights.items()}}
-    )
+    return posterior
 
 
 def jeffrey_update(
@@ -168,13 +111,9 @@ def jeffrey_update(
     if not K.is_total(evidence):
         raise NotTotal("evidence state must be total")
     inv = bayes_invert(channel, prior)
-    acc: Row = {}
-    for y, t in evidence.rows.get((), {}).items():
-        row = inv.rows.get(y)
-        if row is None:
+    for y in evidence.row(()):
+        if not inv.row(y):
             raise ImpossibleEvidence(
                 f"evidence outcome {y!r} has zero pushforward probability"
             )
-        for x, p in row.items():
-            acc[x] = acc.get(x, Fraction(0)) + t * p
-    return SubKernel(UNIT, prior.cod, {(): acc})
+    return K.compose(evidence, inv)

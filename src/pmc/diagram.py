@@ -22,7 +22,7 @@ from functools import reduce
 
 from . import kernel as K
 from .errors import IllTyped, NonTotalGenerator
-from .kernel import Alphabet, Obj, Outcome, Row, SubKernel, UNIT, _as_outcome
+from .kernel import Alphabet, Obj, Outcome, SubKernel, UNIT, _as_outcome
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,9 @@ def _infer(term: Term, path: str) -> tuple[Obj, Obj]:
 
 
 def observe_kernel(at: Obj, point) -> SubKernel:
-    """The costate at -> I succeeding exactly on the given outcome."""
-    out = _as_outcome(point, at, "point")
-    return SubKernel(at, UNIT, {out: {(): Fraction(1)}})
+    """The costate at -> I succeeding exactly on the given outcome: the
+    point dirac(at, point) bent round into an input."""
+    return K.bend(K.dirac(at, point), len(at.factors))
 
 
 def evaluate(term: Term) -> SubKernel:
@@ -196,38 +196,18 @@ class NormalForm:
 
 
 def _const_yes(dom: Obj) -> SubKernel:
-    return SubKernel(
-        dom, BOOL_OBJ, {x: {YES: Fraction(1)} for x in dom.outcomes()}
-    )
+    return K.relabel(K.discard(dom), lambda x, y: YES, BOOL_OBJ)
 
 
 def _indicator(at: Obj, point: Outcome) -> SubKernel:
-    rows = {
-        x: {YES if x == point else NO: Fraction(1)} for x in at.outcomes()
-    }
-    return SubKernel(at, BOOL_OBJ, rows)
+    return K.relabel(
+        K.identity(at), lambda x, y: YES if y == point else NO, BOOL_OBJ
+    )
 
 
-def _success_probs(h: SubKernel) -> dict[Outcome, Fraction]:
-    return {x: row.get(YES, Fraction(0)) for x, row in h.rows.items()}
-
-
-def _bool_kernel(dom: Obj, probs: dict[Outcome, Fraction]) -> SubKernel:
-    rows: dict[Outcome, Row] = {}
-    for x in dom.outcomes():
-        s = probs.get(x, Fraction(0))
-        row: Row = {}
-        if s:
-            row[YES] = s
-        if s != 1:
-            row[NO] = 1 - s
-        rows[x] = row
-    return SubKernel(dom, BOOL_OBJ, rows)
-
-
-def _uniform_row(cod: Obj) -> Row:
-    n = cod.size
-    return {y: Fraction(1, n) for y in cod.outcomes()}
+def _and(x: Outcome, y: Outcome) -> Outcome:
+    """Boolean conjunction, as a relabelling of bool (x) bool."""
+    return YES if y == YES + YES else NO
 
 
 def normal_form(term: Term) -> NormalForm:
@@ -266,47 +246,30 @@ def _nf(term: Term) -> NormalForm:
 
 def _nf_tensor(left: NormalForm, right: NormalForm) -> NormalForm:
     """Combine normal forms side by side: success probabilities multiply."""
-    sa, sb = _success_probs(left.h), _success_probs(right.h)
-    dom = left.g.dom.tensor(right.g.dom)
-    probs = {
-        xa + xb: pa * pb for xa, pa in sa.items() for xb, pb in sb.items()
-    }
-    return NormalForm(K.tensor(left.g, right.g), _bool_kernel(dom, probs))
+    h = K.relabel(K.tensor(left.h, right.h), _and, BOOL_OBJ)
+    return NormalForm(K.tensor(left.g, right.g), h)
 
 
 def _nf_compose(first: NormalForm, second: NormalForm) -> NormalForm:
     """Combine normal forms along a composition.
 
-    The success probability through the middle object m is
-    t(x) = sum_m g1(m | x) s2(m); where it is positive the outcome
-    distribution is the t-weighted average of g2's rows, and the overall
-    success probability is s1(x) * t(x).  Where t(x) = 0 the outcome row
-    defaults to uniform to keep g total.
+    Through the middle object, g1 ; eval_normal_form(second) has mass
+    t(x) = sum_m g1(m | x) s2(m), with s2 the success probability of
+    `second`.  Normalised, it is the outcome kernel where t(x) > 0; where
+    t(x) = 0 the outcome row defaults to uniform to keep g total.  The
+    overall success is h1 and (g1 ; h2), of probability s1(x) * t(x).
     """
-    s1 = _success_probs(first.h)
-    s2 = _success_probs(second.h)
-    dom, cod = first.g.dom, second.g.cod
-    g_rows: dict[Outcome, Row] = {}
-    probs: dict[Outcome, Fraction] = {}
-    for x, g1row in first.g.rows.items():
-        t = Fraction(0)
-        acc: Row = {}
-        for m, p in g1row.items():
-            w = p * s2[m]
-            if not w:
-                continue
-            t += w
-            for z, q in second.g.rows[m].items():
-                acc[z] = acc.get(z, Fraction(0)) + w * q
-        if t:
-            g_rows[x] = {z: v / t for z, v in acc.items()}
-        else:
-            g_rows[x] = _uniform_row(cod)
-        probs[x] = s1[x] * t
-    return NormalForm(SubKernel(dom, cod, g_rows), _bool_kernel(dom, probs))
+    cod = second.g.cod
+    uniform = K.state(cod, dict.fromkeys(cod.outcomes(), Fraction(1, cod.size)))
+    through = K.compose(first.g, eval_normal_form(second))
+    g = K.fill(K.normalise(through), uniform)
+    both = K.tensor(K.identity(BOOL_OBJ), K.compose(first.g, second.h))
+    h = K.relabel(K.compose(K.graph(first.h), both), _and, BOOL_OBJ)
+    return NormalForm(g, h)
 
 
 def eval_normal_form(nf: NormalForm) -> SubKernel:
-    """The kernel a normal form denotes: copy ; (g (x) (h ; observe yes))."""
+    """The kernel a normal form denotes: copy ; ((h ; observe yes) (x) g),
+    built as graph(h ; observe yes) ; g."""
     restrict = K.compose(nf.h, observe_kernel(BOOL_OBJ, YES))
-    return K.compose(K.copy(nf.g.dom), K.tensor(nf.g, restrict))
+    return K.compose(K.graph(restrict), nf.g)

@@ -6,11 +6,10 @@ observations to actions, and a consequence map from condition and
 action to a utility-labelled outcome.  Environment and agent are total;
 the consequence may fail, and its failure rows act as constraints on
 the joint model.  The solver builds the joint I -> U (x) A as a
-diagram, evaluates and normalises it once, and projects that single
-joint onto each action: the utility state of an action is the part of
-the joint whose action factor carries it, which is what observing the
-action with an observation node yields.  Exact expected utilities of
-those states rank the actions.
+diagram, evaluates and normalises it once, and bends that single joint
+into a kernel A -> U: its row at an action is the action's utility
+state, which is what observing the action with an observation node
+yields.  Exact expected utilities of those states rank the actions.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .errors import (
 from .kernel import (
     Alphabet,
     Obj,
-    Row,
     SubKernel,
     UNIT,
     make_kernel,
@@ -131,25 +129,19 @@ def conditioned_model(problem: DecisionProblem) -> SubKernel:
     return normalise(evaluate(model_term(problem)))
 
 
-def _rows_by_action(joint: SubKernel) -> dict[str, Row]:
-    """Group the single row of a joint I -> U (x) A by its action factor,
-    the last one, keeping the utility part of each outcome."""
-    groups: dict[str, Row] = {}
-    for y, p in joint.rows.get((), {}).items():
-        groups.setdefault(y[-1], {})[y[:-1]] = p
-    return groups
-
-
-def _utility_state(problem: DecisionProblem, row: Row) -> SubKernel:
-    return SubKernel(UNIT, problem.utility_obj, {(): row} if row else {})
+def _states_by_action(problem: DecisionProblem, joint: SubKernel) -> SubKernel:
+    """The conditioned joint I -> U (x) A as the kernel A -> U whose row
+    at an action is that action's utility state: the action factor is
+    moved to the front and bent round into the input."""
+    a_first = problem.action_obj.tensor(problem.utility_obj)
+    return K.bend(K.relabel(joint, lambda x, y: y[-1:] + y[:-1], a_first), 1)
 
 
 def action_state(problem: DecisionProblem, action: str) -> SubKernel:
     """The utility state obtained by observing that the action was taken.
 
-    It is the projection of the conditioned model onto the outcomes
-    whose action factor is `action`, equal to composing that model with
-    id_U (x) observe(action).  The mass of the returned state is the
+    It is the row at `action` of the conditioned model bent into
+    A -> U, equal to composing that model with id_U (x) observe(action).  The mass of the returned state is the
     probability of the action in the success-conditioned model — the
     action probabilities partition one — and its normalisation is the
     conditional distribution over utility outcomes given that action.
@@ -159,8 +151,8 @@ def action_state(problem: DecisionProblem, action: str) -> SubKernel:
         raise UnknownAction(
             f"{action!r} is not an action of problem {problem.name!r}"
         )
-    groups = _rows_by_action(conditioned_model(problem))
-    return _utility_state(problem, groups.get(action, {}))
+    by_action = _states_by_action(problem, conditioned_model(problem))
+    return K.state_at(by_action, (action,))
 
 
 def expected_utility(
@@ -168,7 +160,7 @@ def expected_utility(
 ) -> Fraction:
     """Exact expected utility of a subdistribution over utility labels,
     conditioned on success; raises UndefinedUtility at mass zero."""
-    row = utility_state.rows.get((), {})
+    row = utility_state.row(())
     mass = sum(row.values(), Fraction(0))
     if mass == 0:
         raise UndefinedUtility("state has zero mass")
@@ -198,17 +190,17 @@ class Prescription:
 def solve(problem: DecisionProblem) -> Prescription:
     """Evaluate every action and prescribe the expected-utility maximisers.
 
-    The model is evaluated and normalised once, and each action's state
-    is read off that joint as in action_state.  Actions of probability
+    The model is evaluated, normalised and bent into A -> U once, and
+    each action's state is that kernel's row, as in action_state.  Actions of probability
     zero have undefined value and are excluded; if every action is
     excluded, raises NoFeasibleAction.  The chosen action is the first
     maximiser in declared order.
     """
-    groups = _rows_by_action(conditioned_model(problem))
+    by_action = _states_by_action(problem, conditioned_model(problem))
     table = []
     best: Optional[Fraction] = None
     for a in problem.actions.labels:
-        st = _utility_state(problem, groups.get(a, {}))
+        st = K.state_at(by_action, (a,))
         mass = st.mass(())
         if mass == 0:
             table.append(ActionValue(a, mass, None))

@@ -11,6 +11,11 @@ Fractions again.  compose numbers the output outcomes in first-seen
 order and sums each row keyed by those numbers; make_kernel checks each
 distinct output tuple against the codomain once per call.
 
+This module is the only one that reads or builds rows.  The rest of
+the package works through compose, tensor, the structural maps, and the
+row operations normalise, relabel, bend, state_at and fill, and reads a
+single row through row, prob and mass.
+
 Objects are flat tuples of alphabets; the empty tuple is the monoidal
 unit, and tensoring concatenates factor lists, so associators and
 unitors are literal identities.
@@ -22,9 +27,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import (
+    BadSplit,
     NegativeProbability,
     RowMassExceedsOne,
     TypeMismatch,
@@ -311,6 +317,82 @@ def tensor(f: SubKernel, g: SubKernel) -> SubKernel:
                 for y2, q in r2.items()
             }
     return SubKernel(f.dom.tensor(g.dom), f.cod.tensor(g.cod), rows)
+
+
+def normalise(f: SubKernel) -> SubKernel:
+    """Divide every row by its mass; all-fail rows stay all-fail.
+
+    The result is quasi-total and normalisation is idempotent.  Over the
+    row's common denominator, entry n becomes n / (sum of numerators).
+    """
+    rows: dict[Outcome, Row] = {}
+    for x, row in f.rows.items():
+        den, nums = _row_numerators(row)
+        total = sum(nums)
+        if total == den:
+            rows[x] = dict(row)
+        else:
+            rows[x] = {y: Fraction(n, total) for y, n in zip(row, nums)}
+    return SubKernel(f.dom, f.cod, rows)
+
+
+def relabel(
+    f: SubKernel, fn: Callable[[Outcome, Outcome], Outcome], cod: Obj
+) -> SubKernel:
+    """f followed by the deterministic map (x, y) |-> fn(x, y) into cod:
+    the entry at (x, y) moves to output fn(x, y) of row x, and entries
+    landing on one output are summed."""
+    rows: dict[Outcome, Row] = {}
+    for x, row in f.rows.items():
+        acc: Row = {}
+        for y, p in row.items():
+            z = fn(x, y)
+            acc[z] = acc[z] + p if z in acc else p
+        rows[x] = acc
+    return SubKernel(f.dom, cod, rows)
+
+
+def graph(f: SubKernel) -> SubKernel:
+    """copy ; (f (x) id) : X -> Y (x) X, the output beside its input."""
+    return relabel(f, lambda x, y: y + x, f.cod.tensor(f.dom))
+
+
+def split_cod(f: SubKernel, split: int) -> tuple[Obj, Obj]:
+    """f's codomain as (its first `split` factors, the rest)."""
+    if not 0 <= split <= len(f.cod.factors):
+        raise BadSplit(
+            f"split {split} outside 0..{len(f.cod.factors)} for codomain {f.cod!r}"
+        )
+    return Obj(f.cod.factors[:split]), Obj(f.cod.factors[split:])
+
+
+def bend(f: SubKernel, split: int) -> SubKernel:
+    """f : X -> A (x) B, A its first `split` codomain factors, as the
+    kernel A (x) X -> B: the entry at (x, a + b) moves to row a + x,
+    output b."""
+    kept, rest = split_cod(f, split)
+    rows: dict[Outcome, Row] = {}
+    for x, row in f.rows.items():
+        for y, p in row.items():
+            rows.setdefault(y[:split] + x, {})[y[split:]] = p
+    return SubKernel(kept.tensor(f.dom), rest, rows)
+
+
+def state_at(f: SubKernel, x: Outcome) -> SubKernel:
+    """The state I -> cod that f gives at input x, all-fail where f has
+    no row at x."""
+    row = f.rows.get(x)
+    return SubKernel(UNIT, f.cod, {(): dict(row)} if row else {})
+
+
+def fill(f: SubKernel, default: SubKernel) -> SubKernel:
+    """f with each all-fail row replaced by the state `default`."""
+    rows: dict[Outcome, Row] = {}
+    for x in f.dom.outcomes():
+        row = f.rows.get(x) or default.rows.get(())
+        if row:
+            rows[x] = dict(row)
+    return SubKernel(f.dom, f.cod, rows)
 
 
 def failure_probability(f: SubKernel) -> SubKernel:

@@ -26,6 +26,7 @@ from . import edt as E
 from . import kernel as K
 from .errors import (
     BadDensity,
+    BadParameter,
     ImpossibleEvidence,
     NoFeasibleAction,
     UnknownLaw,
@@ -235,6 +236,8 @@ def check_law(name: str, instances: int, seed: int = DEFAULT_SEED) -> Report:
     """
     if name not in REGISTRY:
         raise UnknownLaw(f"unknown law {name!r}; known: {sorted(REGISTRY)}")
+    if instances < 0:
+        raise BadParameter(f"instances {instances} is negative")
     fn = REGISTRY[name]
     failures = 0
     counterexample: Optional[dict] = None
@@ -426,11 +429,7 @@ def _law_quasi_total_conditional(rng: Random) -> Optional[dict]:
         return _mismatch(
             "conditional is quasi-total", f=f, split=split, conditional=c
         )
-    bad = [
-        list(x)
-        for x, row in c.rows.items()
-        if sum(row.values(), Fraction(0)) != 1
-    ]
+    bad = [list(x) for x in c.dom.outcomes() if c.mass(x) not in (0, 1)]
     if bad:
         return _mismatch(
             "every conditional row has mass 0 or 1",
@@ -555,9 +554,8 @@ def _law_synthetic_bayes(rng: Random) -> Optional[dict]:
     )
     constrained = D.evaluate(term)
     scalar = K.compose(prior, channel).prob((), point)
-    inv_row = C.bayes_invert(channel, prior).rows.get(point, {})
-    expected_row = {xo: scalar * p for xo, p in inv_row.items() if scalar * p}
-    expected = SubKernel(UNIT, x, {(): expected_row} if expected_row else {})
+    inv_row = K.state_at(C.bayes_invert(channel, prior), point)
+    expected = K.tensor(K.state(UNIT, {(): scalar}), inv_row)
     return _eq(
         "constrained state = scalar * inversion row",
         constrained,
@@ -685,7 +683,7 @@ def _law_observe_axiom(rng: Random) -> Optional[dict]:
         return _eq(
             "dirac(z);observe(y) = 0 for z != y",
             K.compose(K.dirac(y, other), D.observe_kernel(y, point)),
-            SubKernel(UNIT, UNIT, {}),
+            K.state(UNIT, {}),
             at=y, point=point, other=other,
         )
     return None
@@ -806,8 +804,8 @@ def _law_normal_form(rng: Random) -> Optional[dict]:
     if result is not None:
         return result
     norm = C.normalise(direct)
-    for x, hrow in nf.h.rows.items():
-        if hrow.get(D.YES, Fraction(0)) > 0 and nf.g.rows[x] != norm.rows.get(x):
+    for x in nf.h.dom.outcomes():
+        if nf.h.prob(x, D.YES) > 0 and nf.g.row(x) != norm.row(x):
             return _mismatch(
                 "g matches normalise(evaluate(t)) on positive-success rows",
                 g=nf.g, h=nf.h, normalised=norm, at_input=x,

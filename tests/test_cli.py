@@ -374,6 +374,14 @@ def test_laws_unknown_law(capsys):
     assert "UnknownLaw" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("law", [["--law", "category"], []])
+def test_laws_negative_cases_exits_1(capsys, law):
+    assert cli.main(["laws", *law, "--cases", "-3", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: BadParameter: instances -3 is negative\n"
+
+
 def test_laws_seed_sources(capsys, monkeypatch):
     monkeypatch.setenv("PMC_SEED", "not-a-number")
     assert cli.main(["laws", "--law", "comonoid", "--cases", "2"]) == 1

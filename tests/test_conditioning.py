@@ -1,7 +1,8 @@
 """Conditioning operations against independent brute-force oracles.
 
 The oracles below recompute every published number with plain loops
-over outcome tuples and fractions.Fraction only, so the library is
+over outcome tuples and fractions.Fraction only, so the library, which
+builds each operation from compose, relabel, bend and normalise, is
 checked against arithmetic it does not share.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -18,11 +20,12 @@ from pmc.errors import (
     BadSplit,
     ImpossibleEvidence,
     NotTotal,
+    PmcError,
     TypeMismatch,
 )
-from pmc.kernel import Alphabet, UNIT, make_kernel, obj, state
+from pmc.kernel import Alphabet, Obj, SubKernel, UNIT, make_kernel, obj, state
 
-from conftest import kernels
+from conftest import kernels, states
 
 B = Alphabet("bool", ("t", "f"))
 BO = obj(B)
@@ -67,6 +70,112 @@ def oracle_inversion(prior_row, channel):
         for yo, q in channel.rows.get(xo, {}).items():
             inv.setdefault(yo, {})[xo] = px * q / push[yo]
     return push, inv
+
+
+def oracle_conditional(f, split):
+    if not 0 <= split <= len(f.cod.factors):
+        raise BadSplit(f"split {split}")
+    rows = {}
+    for x, row in f.rows.items():
+        masses, groups = {}, {}
+        for y, p in row.items():
+            a, b = y[:split], y[split:]
+            masses[a] = masses.get(a, Fraction(0)) + p
+            groups.setdefault(a, {})[b] = p
+        for a, m in masses.items():
+            rows[a + x] = {b: p / m for b, p in groups[a].items()}
+    dom = Obj(f.cod.factors[:split] + f.dom.factors)
+    return SubKernel(dom, Obj(f.cod.factors[split:]), rows)
+
+
+def oracle_cond_compose(m, c):
+    rows = {}
+    for x, mrow in m.rows.items():
+        acc = {}
+        for a, p in mrow.items():
+            for b, q in c.rows.get(a + x, {}).items():
+                acc[a + b] = p * q
+        if acc:
+            rows[x] = acc
+    return SubKernel(m.dom, m.cod.tensor(c.cod), rows)
+
+
+def oracle_normalise(f):
+    rows = {}
+    for x, row in f.rows.items():
+        m = sum(row.values(), Fraction(0))
+        rows[x] = {y: p / m for y, p in row.items()}
+    return SubKernel(f.dom, f.cod, rows)
+
+
+def oracle_pearl_update(prior, channel, predicate):
+    weights = {}
+    for x, px in prior.rows.get((), {}).items():
+        w = Fraction(0)
+        for y, q in channel.rows.get(x, {}).items():
+            w += q * predicate.rows.get(y, {}).get((), Fraction(0))
+        if w:
+            weights[x] = px * w
+    total = sum(weights.values(), Fraction(0))
+    if total == 0:
+        raise ImpossibleEvidence("zero weight")
+    return SubKernel(
+        UNIT, prior.cod, {(): {x: w / total for x, w in weights.items()}}
+    )
+
+
+def oracle_jeffrey_update(prior, channel, evidence):
+    if not K.is_total(evidence):
+        raise NotTotal("evidence state must be total")
+    _, inv = oracle_inversion(prior.rows.get((), {}), channel)
+    acc = {}
+    for y, t in evidence.rows.get((), {}).items():
+        if y not in inv:
+            raise ImpossibleEvidence(f"{y!r}")
+        for x, p in inv[y].items():
+            acc[x] = acc.get(x, Fraction(0)) + t * p
+    return SubKernel(UNIT, prior.cod, {(): acc})
+
+
+def result_or_error(fn, *args):
+    """fn's kernel, or the class of the PmcError it raised."""
+    try:
+        return fn(*args)
+    except PmcError as exc:
+        return type(exc)
+
+
+@given(kernels(cod=obj(B, X)), st.integers(-1, 3))
+def test_conditional_matches_oracle(f, split):
+    expected = result_or_error(oracle_conditional, f, split)
+    assert result_or_error(C.conditional, f, split) == expected
+
+
+@given(st.data())
+def test_cond_compose_matches_oracle(data):
+    m = data.draw(kernels())
+    c = data.draw(kernels(dom=m.cod.tensor(m.dom)))
+    assert C.cond_compose(m, c) == oracle_cond_compose(m, c)
+
+
+@given(kernels())
+def test_normalise_matches_oracle(f):
+    assert C.normalise(f) == oracle_normalise(f)
+
+
+@given(st.data())
+def test_update_rules_match_oracles(data):
+    prior = data.draw(states())
+    channel = data.draw(kernels(dom=prior.cod))
+    predicate = data.draw(kernels(dom=channel.cod, cod=UNIT))
+    # Normalised, so only an empty evidence state is not total.
+    evidence = oracle_normalise(data.draw(states(cod=channel.cod)))
+    for rule, oracle, last in (
+        (C.pearl_update, oracle_pearl_update, predicate),
+        (C.jeffrey_update, oracle_jeffrey_update, evidence),
+    ):
+        expected = result_or_error(oracle, prior, channel, last)
+        assert result_or_error(rule, prior, channel, last) == expected
 
 
 # -- marginal ----------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Byte-for-byte golden outputs: the CLI, scripts/solve_corpus.py and the
-random kernel generators.
+"""Byte-for-byte golden outputs: the CLI, scripts/solve_corpus.py,
+scripts/newcomb_noise_sweep.py and the random kernel generators.
 
 Every file under tests/golden/ except the eval inputs (*_env.json,
 dense_chain.json, wide_tensor.json, unit_cod.json, all_fail.json) is
@@ -8,6 +8,9 @@ cannot alter a byte unnoticed.  Regenerating one is a deliberate act:
 
     pmc laws --cases 50 --seed 7 [--format json]  > laws_50_seed7.{txt,json}
     python scripts/solve_corpus.py [--format json] > solve_corpus.{tsv,json}
+    python scripts/newcomb_noise_sweep.py --steps 4 > newcomb_sweep_steps4.tsv
+    python scripts/newcomb_noise_sweep.py --noise 999/2000 --noise 1/3 \
+        > newcomb_sweep_noise.tsv
     pmc eval dense_chain.json --env dense_env.json > dense_chain.out.json
     pmc eval wide_tensor.json --env wide_env.json > wide_tensor.out.json
     pmc eval unit_cod.json --env unit_env.json > unit_cod.out.json
@@ -37,9 +40,9 @@ GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).parent.parent
 
 
-def _solve_corpus_main():
+def _script_main(name):
     spec = importlib.util.spec_from_file_location(
-        "solve_corpus", ROOT / "scripts" / "solve_corpus.py"
+        name, ROOT / "scripts" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -79,7 +82,22 @@ def test_cli_output_matches_golden(argv, golden, capsys):
     [([], "solve_corpus.tsv"), (["--format", "json"], "solve_corpus.json")],
 )
 def test_solve_corpus_output_matches_golden(argv, golden, capsys):
-    assert _solve_corpus_main()(argv) == 0
+    assert _script_main("solve_corpus")(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--steps", "4"], "newcomb_sweep_steps4.tsv"),
+        (
+            ["--noise", "999/2000", "--noise", "1/3"],
+            "newcomb_sweep_noise.tsv",
+        ),
+    ],
+)
+def test_newcomb_noise_sweep_output_matches_golden(argv, golden, capsys):
+    assert _script_main("newcomb_noise_sweep")(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text("utf-8")
 
 

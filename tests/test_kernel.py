@@ -11,6 +11,7 @@ from hypothesis import example, given
 
 from pmc import kernel as K
 from pmc.errors import (
+    BadSplit,
     NegativeProbability,
     RowMassExceedsOne,
     TypeMismatch,
@@ -327,6 +328,98 @@ def test_tensor_matches_naive_product(f, g):
     for x, row in h.rows.items():
         assert list(row) == list(expected[x])
         assert all(type(q) is Fraction for q in row.values())
+
+
+# -- row primitives ----------------------------------------------------------
+
+
+@st.composite
+def relabellings(draw, reads_x: bool = True):
+    """A kernel f, a codomain, and a table from (x, y) to outcomes of
+    that codomain, drawn per y alone when reads_x is false."""
+    f = draw(kernels())
+    cod = draw(objects())
+    targets = list(cod.outcomes())
+    pick = st.sampled_from(targets)
+    by_y = {y: draw(pick) for y in f.cod.outcomes()}
+    table = {
+        (x, y): draw(pick) if reads_x else by_y[y]
+        for x in f.dom.outcomes()
+        for y in f.cod.outcomes()
+    }
+    return f, table, cod
+
+
+@given(relabellings())
+def test_relabel_sums_entries_landing_on_one_output(case):
+    f, table, cod = case
+    g = K.relabel(f, lambda x, y: table[x, y], cod)
+    assert (g.dom, g.cod) == (f.dom, cod)
+    for x in f.dom.outcomes():
+        for z in cod.outcomes():
+            landing = [p for y, p in f.row(x).items() if table[x, y] == z]
+            assert g.prob(x, z) == sum(landing, Fraction(0))
+    assert set(g.rows) == set(f.rows)
+    assert all(g.rows.values())
+
+
+@given(relabellings(reads_x=False))
+def test_relabel_by_output_is_composing_with_a_deterministic_map(case):
+    f, table, cod = case
+    fn = {y: z for (_, y), z in table.items()}
+    det = make_kernel(f.cod, cod, {y: {z: 1} for y, z in fn.items()})
+    assert K.relabel(f, lambda x, y: fn[y], cod) == K.compose(f, det)
+
+
+@given(kernels(), st.data())
+def test_bend_moves_the_first_factors_to_the_input(f, data):
+    split = data.draw(st.integers(0, len(f.cod.factors)))
+    g = K.bend(f, split)
+    kept, rest = Obj(f.cod.factors[:split]), Obj(f.cod.factors[split:])
+    assert (g.dom, g.cod) == (kept.tensor(f.dom), rest)
+    for x in f.dom.outcomes():
+        for y in f.cod.outcomes():
+            assert g.prob(y[:split] + x, y[split:]) == f.prob(x, y)
+    assert all(g.rows.values())
+
+
+def test_bend_rejects_bad_split():
+    for split in (-1, 2):
+        with pytest.raises(BadSplit):
+            K.bend(bk({}), split)
+
+
+def uniform_state(at):
+    return K.state(at, dict.fromkeys(at.outcomes(), Fraction(1, at.size)))
+
+
+@given(kernels())
+def test_state_at_and_fill_read_rows(f):
+    uniform = uniform_state(f.cod)
+    filled = K.fill(f, uniform)
+    for x in f.dom.outcomes():
+        assert K.state_at(f, x) == K.state(f.cod, f.row(x))
+        assert filled.row(x) == (f.row(x) or uniform.row(()))
+
+
+@given(kernels())
+def test_row_primitives_share_no_row_with_their_input(f):
+    n = K.normalise(f)
+    uniform = uniform_state(f.cod)
+    at = next(iter(f.rows), ())
+    cases = [
+        (K.normalise(f), [f]),
+        (K.normalise(n), [n]),
+        (K.relabel(f, lambda x, y: y, f.cod), [f]),
+        (K.graph(f), [f]),
+        (K.bend(f, 0), [f]),
+        (K.bend(f, len(f.cod.factors)), [f]),
+        (K.state_at(f, at), [f]),
+        (K.fill(f, uniform), [f, uniform]),
+    ]
+    for result, inputs in cases:
+        held = {id(row) for k in inputs for row in k.rows.values()}
+        assert not any(id(row) in held for row in result.rows.values())
 
 
 # -- algebraic laws (hypothesis) ---------------------------------------------

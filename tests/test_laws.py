@@ -217,14 +217,11 @@ def test_random_problems_cover_both_solver_branches():
 
 
 def test_mutated_action_grouping_breaks_solver_law(monkeypatch):
-    def by_utility(joint):
-        # Group by the first factor instead of the action factor.
-        groups = {}
-        for y, p in joint.rows.get((), {}).items():
-            groups.setdefault(y[0], {})[y[1:]] = p
-        return groups
+    def by_utility(problem, joint):
+        # Group by the first (utility) factor instead of the action factor.
+        return K.bend(joint, 1)
 
-    monkeypatch.setattr(edt, "_rows_by_action", by_utility)
+    monkeypatch.setattr(edt, "_states_by_action", by_utility)
     report = laws.check_law("solver-observe-agreement", 40, 7)
     assert report.failures > 0
     cx = report.counterexample

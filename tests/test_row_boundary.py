@@ -1,0 +1,54 @@
+"""Only kernel.py knows how a kernel's rows are stored.
+
+Everything else goes through the kernel operations (compose, tensor,
+relabel, bend, normalise, ...) and the accessors row, prob and mass.
+Two exceptions are pinned: codec._write_kernel, the emission path that
+writes rows straight to text, and the random generators of laws.py,
+which draw rows directly.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src" / "pmc"
+
+ROWS_READERS = {("codec", "_write_kernel")}
+SUBKERNEL_BUILDERS = {
+    ("laws", "random_kernel"),
+    ("laws", "_rand_kernel"),
+    ("laws", "_rand_total_kernel"),
+    ("laws", "_rand_deterministic"),
+}
+
+
+def _uses_outside_kernel():
+    """(module, enclosing top-level function) of every `.rows` attribute
+    and every SubKernel(...) call in src/pmc, kernel.py excepted."""
+    rows, builds = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "kernel":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        for top in tree.body:
+            where = (path.stem, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "rows":
+                    rows.add(where)
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    name = getattr(fn, "attr", getattr(fn, "id", None))
+                    if name == "SubKernel":
+                        builds.add(where)
+    return rows, builds
+
+
+def test_only_kernel_and_emission_read_rows():
+    rows, _ = _uses_outside_kernel()
+    assert rows == ROWS_READERS
+
+
+def test_only_kernel_and_law_generators_build_subkernels():
+    _, builds = _uses_outside_kernel()
+    assert builds == SUBKERNEL_BUILDERS

@@ -12,6 +12,11 @@ Usage:
     python scripts/newcomb_noise_sweep.py                 # 0 .. 1 in 10 steps
     python scripts/newcomb_noise_sweep.py --steps 20
     python scripts/newcomb_noise_sweep.py --noise 999/2000  # one exact point
+
+A --noise value is a rational in pmc's grammar (README "File formats")
+and must lie in [0, 1].  On a bad value nothing is written to standard
+output; the error goes to standard error as "error: <Code>: <message>",
+as pmc's CLI writes it, and the exit status is 1.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import sys
 from fractions import Fraction
 
 from pmc import edt
-from pmc.codec import format_fraction
+from pmc.codec import format_fraction, parse_fraction
+from pmc.errors import PmcError
 
 
 def sweep_points(steps: int) -> list[Fraction]:
@@ -54,16 +60,20 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.noise is not None:
-        points = [Fraction(v) for v in args.noise]
-    else:
-        if args.steps < 1:
-            parser.error("--steps must be at least 1")
-        points = sweep_points(args.steps)
+    if args.noise is None and args.steps < 1:
+        parser.error("--steps must be at least 1")
+    try:
+        if args.noise is not None:
+            points = [parse_fraction(v) for v in args.noise]
+        else:
+            points = sweep_points(args.steps)
+        lines = [report_line(noise) for noise in points]
+    except PmcError as exc:
+        sys.stderr.write(f"error: {exc.code}: {exc}\n")
+        return 1
 
     sys.stdout.write("noise\tEU(one-box)\tEU(two-box)\tprescribed\n")
-    for noise in points:
-        sys.stdout.write(report_line(noise) + "\n")
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 

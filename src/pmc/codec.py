@@ -6,10 +6,12 @@ integers allowed) — so emit -> parse -> emit is byte-identical.
 
 kernel_to_json returns a KernelJSON: a read-only mapping over the
 kernel that to_text writes straight from the kernel's rows, with no
-payload tree in between.  Read as a mapping, it is the plain JSON
-object {"dom", "cod", "rows"}, parsed back from that same text, so
-there is one rendering of rows; dict(p) gives an editable copy.  The
-parsers accept a KernelJSON wherever they accept a kernel document.
+payload tree in between; each label's quoted text is made once per
+kernel, from the labels its domain and codomain declare.  Read as a
+mapping, it is the plain JSON object {"dom", "cod", "rows"}, parsed
+back from that same text, so there is one rendering of rows; dict(p)
+gives an editable copy.  The parsers accept a KernelJSON wherever they
+accept a kernel document.
 
 Parsing a kernel checks the schema and every entry's sign for the whole
 document first, parsing each distinct probability string once; then
@@ -102,11 +104,8 @@ def _write(value: Any, nl: str, out: list[str]) -> None:
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"JSON object key must be str, not {key!r}")
-            if type(item) is str:
-                out.append(sep + _quote(key) + ": " + _quote(item))
-            else:
-                out.append(sep + _quote(key) + ": ")
-                _write(item, inner, out)
+            out.append(sep + _quote(key) + ": ")
+            _write(item, inner, out)
             sep = "," + inner
         out.append(nl + "}")
     elif kind is KernelJSON:
@@ -116,10 +115,6 @@ def _write(value: Any, nl: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = nl + "  "
-        if set(map(type, value)) == {str}:
-            items = ("," + inner).join(map(_quote, value))
-            out.append("[" + inner + items + nl + "]")
-            return
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -140,15 +135,9 @@ def _write(value: Any, nl: str, out: list[str]) -> None:
         )
 
 
-class _Quoted(dict):
-    """label -> nl + its quoted text, built on first use."""
-
-    def __init__(self, nl: str) -> None:
-        self.nl = nl
-
-    def __missing__(self, label: str) -> str:
-        text = self[label] = self.nl + _quote(label)
-        return text
+def _quoted_labels(at: Obj, nl: str) -> dict[str, str]:
+    """label -> nl + its quoted text, for every label of at."""
+    return {x: nl + _quote(x) for a in at.factors for x in a.labels}
 
 
 def _write_kernel(k: SubKernel, nl: str, out: list[str]) -> None:
@@ -173,8 +162,8 @@ def _write_kernel(k: SubKernel, nl: str, out: list[str]) -> None:
     val_close = i5 + "]"
     p_open = "," + i5 + '"p": "'
     p_close = '"' + i4 + "}"
-    in_label = _Quoted(i4).__getitem__
-    val_label = _Quoted(i5 + "  ").__getitem__
+    in_label = _quoted_labels(k.dom, i4).__getitem__
+    val_label = _quoted_labels(k.cod, i5 + "  ").__getitem__
     sep = "," + i1 + '"rows": [' + i2
     for x in sorted(rows):
         row = rows[x]

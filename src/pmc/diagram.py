@@ -196,13 +196,11 @@ class NormalForm:
 
 
 def _const_yes(dom: Obj) -> SubKernel:
-    return K.relabel(K.discard(dom), lambda x, y: YES, BOOL_OBJ)
+    return K.deterministic(dom, BOOL_OBJ, lambda x: YES)
 
 
 def _indicator(at: Obj, point: Outcome) -> SubKernel:
-    return K.relabel(
-        K.identity(at), lambda x, y: YES if y == point else NO, BOOL_OBJ
-    )
+    return K.deterministic(at, BOOL_OBJ, lambda x: YES if x == point else NO)
 
 
 def _and(x: Outcome, y: Outcome) -> Outcome:
@@ -218,25 +216,25 @@ def normal_form(term: Term) -> NormalForm:
     NonTotalGenerator.  Raises IllTyped on type errors.
     """
     infer_type(term)
-    return _nf(term)
+    return NormalForm(*_nf(term))
 
 
-def _nf(term: Term) -> NormalForm:
+Parts = tuple[SubKernel, SubKernel]  # (g, h) of a NormalForm being built
+
+
+def _nf(term: Term) -> Parts:
     match term:
         case Gen(name, k):
             if not K.is_total(k):
                 raise NonTotalGenerator(f"generator {name!r} is not total")
-            return NormalForm(k, _const_yes(k.dom))
-        case Id(x) | Copy(x) | Discard(x):
+            return k, _const_yes(k.dom)
+        case Id() | Copy() | Discard() | Swap():
             k = evaluate(term)
-            return NormalForm(k, _const_yes(x))
-        case Swap(x, y):
-            k = evaluate(term)
-            return NormalForm(k, _const_yes(x.tensor(y)))
+            return k, _const_yes(k.dom)
         case Compare(_):
             raise NonTotalGenerator("comparator is not a constrained process")
         case Observe(x, point):
-            return NormalForm(K.discard(x), _indicator(x, point))
+            return K.discard(x), _indicator(x, point)
         case Tensor(terms):
             return reduce(_nf_tensor, map(_nf, terms))
         case Compose(terms):
@@ -244,32 +242,38 @@ def _nf(term: Term) -> NormalForm:
     raise IllTyped(f"not a term: {term!r}")
 
 
-def _nf_tensor(left: NormalForm, right: NormalForm) -> NormalForm:
+def _nf_tensor(left: Parts, right: Parts) -> Parts:
     """Combine normal forms side by side: success probabilities multiply."""
-    h = K.relabel(K.tensor(left.h, right.h), _and, BOOL_OBJ)
-    return NormalForm(K.tensor(left.g, right.g), h)
+    (g1, h1), (g2, h2) = left, right
+    h = K.relabel(K.tensor(h1, h2), _and, BOOL_OBJ)
+    return K.tensor(g1, g2), h
 
 
-def _nf_compose(first: NormalForm, second: NormalForm) -> NormalForm:
+def _nf_compose(first: Parts, second: Parts) -> Parts:
     """Combine normal forms along a composition.
 
-    Through the middle object, g1 ; eval_normal_form(second) has mass
-    t(x) = sum_m g1(m | x) s2(m), with s2 the success probability of
-    `second`.  Normalised, it is the outcome kernel where t(x) > 0; where
-    t(x) = 0 the outcome row defaults to uniform to keep g total.  The
-    overall success is h1 and (g1 ; h2), of probability s1(x) * t(x).
+    Through the middle object, g1 ; (g2, h2)'s kernel has mass
+    t(x) = sum_m g1(m | x) s2(m), with s2 the success probability h2(t).
+    Normalised, it is the outcome kernel where t(x) > 0; where t(x) = 0
+    the outcome row defaults to uniform to keep g total.  The overall
+    success is h1 and (g1 ; h2), of probability s1(x) * t(x).
     """
-    cod = second.g.cod
+    (g1, h1), (g2, h2) = first, second
+    cod = g2.cod
     uniform = K.state(cod, dict.fromkeys(cod.outcomes(), Fraction(1, cod.size)))
-    through = K.compose(first.g, eval_normal_form(second))
+    through = K.compose(g1, _denote(g2, h2))
     g = K.fill(K.normalise(through), uniform)
-    both = K.tensor(K.identity(BOOL_OBJ), K.compose(first.g, second.h))
-    h = K.relabel(K.compose(K.graph(first.h), both), _and, BOOL_OBJ)
-    return NormalForm(g, h)
+    both = K.tensor(K.identity(BOOL_OBJ), K.compose(g1, h2))
+    h = K.relabel(K.compose(K.graph(h1), both), _and, BOOL_OBJ)
+    return g, h
 
 
 def eval_normal_form(nf: NormalForm) -> SubKernel:
     """The kernel a normal form denotes: copy ; ((h ; observe yes) (x) g),
     built as graph(h ; observe yes) ; g."""
-    restrict = K.compose(nf.h, observe_kernel(BOOL_OBJ, YES))
-    return K.compose(K.graph(restrict), nf.g)
+    return _denote(nf.g, nf.h)
+
+
+def _denote(g: SubKernel, h: SubKernel) -> SubKernel:
+    restrict = K.compose(h, observe_kernel(BOOL_OBJ, YES))
+    return K.compose(K.graph(restrict), g)

@@ -64,16 +64,13 @@ class DecisionProblem:
             raise TypeMismatch("environment must be a state")
         if self.agent.cod != a_obj:
             raise TypeMismatch("agent codomain must be the action alphabet")
-        n_obs = len(self.agent.dom.factors)
+        obs = self.agent.dom.factors
         c_factors = self.environment.cod.factors
-        if n_obs:
-            if c_factors[len(c_factors) - n_obs:] != self.agent.dom.factors:
-                raise TypeMismatch(
-                    "environment codomain must end with the observation object"
-                )
-            c_factors = c_factors[: len(c_factors) - n_obs]
-        cond = Obj(c_factors)
-        if self.consequence.dom != cond.tensor(a_obj):
+        if obs and c_factors[len(c_factors) - len(obs):] != obs:
+            raise TypeMismatch(
+                "environment codomain must end with the observation object"
+            )
+        if self.consequence.dom != self.condition_obj.tensor(a_obj):
             raise TypeMismatch(
                 "consequence domain must be condition (x) actions"
             )
@@ -141,11 +138,12 @@ def action_state(problem: DecisionProblem, action: str) -> SubKernel:
     """The utility state obtained by observing that the action was taken.
 
     It is the row at `action` of the conditioned model bent into
-    A -> U, equal to composing that model with id_U (x) observe(action).  The mass of the returned state is the
-    probability of the action in the success-conditioned model — the
-    action probabilities partition one — and its normalisation is the
-    conditional distribution over utility outcomes given that action.
-    At mass zero the state has no row.
+    A -> U, equal to composing that model with id_U (x) observe(action).
+    The mass of the returned state is the probability of the action in
+    the success-conditioned model — the action probabilities partition
+    one — and its normalisation is the conditional distribution over
+    utility outcomes given that action.  At mass zero the state has no
+    row.
     """
     if action not in problem.actions.labels:
         raise UnknownAction(
@@ -191,10 +189,10 @@ def solve(problem: DecisionProblem) -> Prescription:
     """Evaluate every action and prescribe the expected-utility maximisers.
 
     The model is evaluated, normalised and bent into A -> U once, and
-    each action's state is that kernel's row, as in action_state.  Actions of probability
-    zero have undefined value and are excluded; if every action is
-    excluded, raises NoFeasibleAction.  The chosen action is the first
-    maximiser in declared order.
+    each action's state is that kernel's row, as in action_state.
+    Actions of probability zero have undefined value and are excluded;
+    if every action is excluded, raises NoFeasibleAction.  The chosen
+    action is the first maximiser in declared order.
     """
     by_action = _states_by_action(problem, conditioned_model(problem))
     table = []

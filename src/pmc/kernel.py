@@ -12,9 +12,10 @@ order and sums each row keyed by those numbers; make_kernel checks each
 distinct output tuple against the codomain once per call.
 
 This module is the only one that reads or builds rows.  The rest of
-the package works through compose, tensor, the structural maps, and the
+the package works through compose, tensor, deterministic (the kernel of
+a partial function, which every structural map and point is), and the
 row operations normalise, relabel, bend, state_at and fill, and reads a
-single row through row, prob and mass.
+single row, read-only, through row, prob and mass.
 
 Objects are flat tuples of alphabets; the empty tuple is the monoidal
 unit, and tensoring concatenates factor lists, so associators and
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Callable, Iterator, Mapping, Union
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Optional
 
 from .errors import (
     BadSplit,
@@ -39,7 +41,6 @@ from .errors import (
 
 Outcome = tuple[str, ...]
 Row = dict[Outcome, Fraction]
-RatLike = Union[Fraction, int, str]
 IntRow = tuple[int, list[tuple[int, int]]]
 
 
@@ -49,16 +50,12 @@ class Alphabet:
 
     name: str
     labels: tuple[str, ...]
-    # The labels again, for constant-time membership tests.
-    label_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.labels:
             raise UnknownLabel(f"alphabet {self.name!r} has no labels")
-        label_set = frozenset(self.labels)
-        if len(label_set) != len(self.labels):
+        if len(set(self.labels)) != len(self.labels):
             raise UnknownLabel(f"alphabet {self.name!r} has duplicate labels")
-        object.__setattr__(self, "label_set", label_set)
 
     def __repr__(self) -> str:
         return f"Alphabet({self.name!r}, {list(self.labels)!r})"
@@ -108,11 +105,7 @@ def _as_outcome(value, at: Obj, what: str) -> Outcome:
             f"{len(at.factors)} factors"
         )
     for label, alpha in zip(out, at.factors):
-        try:
-            known = label in alpha.label_set
-        except TypeError:  # unhashable, so in no alphabet
-            known = False
-        if not known:
+        if label not in alpha.labels:  # a tuple test: unhashables are not found
             raise UnknownLabel(
                 f"{what} label {label!r} not in alphabet {alpha.name!r}"
             )
@@ -132,8 +125,10 @@ class SubKernel:
     cod: Obj
     rows: dict[Outcome, Row] = field(default_factory=dict)
 
-    def row(self, x) -> Row:
-        return self.rows.get(_as_outcome(x, self.dom, "input"), {})
+    def row(self, x) -> Mapping[Outcome, Fraction]:
+        """The row at x, read-only (empty if the row is absent)."""
+        row = self.rows.get(_as_outcome(x, self.dom, "input"), {})
+        return MappingProxyType(row)
 
     def prob(self, x, y) -> Fraction:
         return self.row(x).get(_as_outcome(y, self.cod, "output"), Fraction(0))
@@ -192,46 +187,59 @@ def state(cod: Obj, dist: Mapping) -> SubKernel:
     return make_kernel(UNIT, cod, {(): dist})
 
 
+ONE = Fraction(1)  # every deterministic entry: one shared, immutable value
+
+
+def deterministic(
+    dom: Obj, cod: Obj, fn: Callable[[Outcome], Optional[Outcome]]
+) -> SubKernel:
+    """The kernel of the partial function fn : dom -> cod.  Input x gets
+    the row {fn(x): 1}, or no row where fn(x) is None; fn is called once
+    per input, in dom.outcomes() order, and is trusted to return
+    outcomes of cod."""
+    rows: dict[Outcome, Row] = {}
+    for x in dom.outcomes():
+        y = fn(x)
+        if y is not None:
+            rows[x] = {y: ONE}
+    return SubKernel(dom, cod, rows)
+
+
 def dirac(at: Obj, point) -> SubKernel:
     """The deterministic total state concentrated on one outcome."""
     out = _as_outcome(point, at, "point")
-    return SubKernel(UNIT, at, {(): {out: Fraction(1)}})
+    return deterministic(UNIT, at, lambda x: out)
 
 
 def identity(at: Obj) -> SubKernel:
-    return SubKernel(at, at, {o: {o: Fraction(1)} for o in at.outcomes()})
+    return deterministic(at, at, lambda a: a)
 
 
 def copy(at: Obj) -> SubKernel:
     """a |-> (a, a), flattened; on the unit object this is the identity."""
-    return SubKernel(
-        at, at.tensor(at), {o: {o + o: Fraction(1)} for o in at.outcomes()}
-    )
+    return deterministic(at, at.tensor(at), lambda a: a + a)
 
 
 def discard(at: Obj) -> SubKernel:
-    return SubKernel(at, UNIT, {o: {(): Fraction(1)} for o in at.outcomes()})
+    return deterministic(at, UNIT, lambda a: ())
 
 
 def swap(left: Obj, right: Obj) -> SubKernel:
-    dom = left.tensor(right)
-    rows: dict[Outcome, Row] = {}
     n = len(left.factors)
-    for o in dom.outcomes():
-        rows[o] = {o[n:] + o[:n]: Fraction(1)}
-    return SubKernel(dom, right.tensor(left), rows)
+    return deterministic(
+        left.tensor(right), right.tensor(left), lambda o: o[n:] + o[:n]
+    )
 
 
 def compare(at: Obj) -> SubKernel:
-    """The comparator (a, b) |-> a if a = b, failure otherwise.
+    """The comparator (a, b) |-> a if a = b, failure otherwise: copy
+    bent round into an input.
 
     This is the partial Frobenius multiplication; it is the only
     structural map that is not total.
     """
-    rows: dict[Outcome, Row] = {
-        o + o: {o: Fraction(1)} for o in at.outcomes()
-    }
-    return SubKernel(at.tensor(at), at, rows)
+    doubled = deterministic(at, at.tensor(at), lambda a: a + a)
+    return bend(doubled, len(at.factors))
 
 
 def _row_numerators(row: Row) -> tuple[int, list[int]]:

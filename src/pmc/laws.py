@@ -135,13 +135,12 @@ def _rand_total_kernel(rng: Random, dom: Obj, cod: Obj) -> SubKernel:
 def _rand_deterministic(
     rng: Random, dom: Obj, cod: Obj, partial: bool = False
 ) -> SubKernel:
-    rows: dict = {}
     outcomes = list(cod.outcomes())
-    for x in dom.outcomes():
-        if partial and rng.random() < 0.3:
-            continue
-        rows[x] = {_choice(rng, outcomes): Fraction(1)}
-    return SubKernel(dom, cod, rows)
+    return K.deterministic(
+        dom,
+        cod,
+        lambda x: None if partial and rng.random() < 0.3 else _choice(rng, outcomes),
+    )
 
 
 def _rand_alphabet(rng: Random, index: int, max_size: int = 4) -> Alphabet:

@@ -27,6 +27,7 @@ and random_kernels.txt is the text random_kernels_text() below returns.
 from __future__ import annotations
 
 import importlib.util
+import time
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -101,9 +102,28 @@ def test_newcomb_noise_sweep_output_matches_golden(argv, golden, capsys):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text("utf-8")
 
 
+@pytest.mark.parametrize(
+    "noise, message",
+    [
+        ("x", "error: SchemaError: not a rational: 'x'\n"),
+        ("3/2", "error: BadParameter: predictor_noise = 3/2 outside [0, 1]\n"),
+        ("1e-1000000", "error: SchemaError: not a rational: '1e-1000000'\n"),
+    ],
+)
+def test_newcomb_noise_sweep_refuses_bad_noise(noise, message, capsys):
+    # A good point before the bad one: no line is written unless all are.
+    main = _script_main("newcomb_noise_sweep")
+    start = time.perf_counter()
+    assert main(["--noise", "1/3", "--noise", noise]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr() == ("", message)
+
+
 def random_kernels_text() -> str:
-    """Kernels from laws.random_kernel and laws._rand_kernel at a few
-    seeds and densities, one line per row in stored order."""
+    """Kernels from laws.random_kernel, laws._rand_kernel,
+    laws._rand_total_kernel and laws._rand_deterministic (total and
+    partial) at a few seeds and densities, one line per row in stored
+    order."""
     x = Obj((Alphabet("x", ("x0", "x1")),))
     yz = Obj((Alphabet("y", ("y0", "y1")), Alphabet("z", ("z0", "z1"))))
     densities = ("0", "1/3", "7/10", "1")
@@ -119,6 +139,21 @@ def random_kernels_text() -> str:
             for d in densities
         ]
         made.append((f"_rand_kernel({seed})", laws._rand_kernel(rng, yz, x)))
+    for seed in (0, 1, 7):
+        rng = Random(seed)
+        made += [
+            (f"_rand_total_kernel({seed})", laws._rand_total_kernel(rng, x, yz)),
+            (f"_rand_total_kernel({seed}, yz)", laws._rand_total_kernel(rng, yz, x)),
+            (f"_rand_deterministic({seed})", laws._rand_deterministic(rng, yz, x)),
+            (
+                f"_rand_deterministic({seed}, partial)",
+                laws._rand_deterministic(rng, yz, yz, partial=True),
+            ),
+            (
+                f"_rand_deterministic({seed}, unit)",
+                laws._rand_deterministic(rng, Obj(()), yz),
+            ),
+        ]
     lines = []
     for name, k in made:
         lines.append(name)

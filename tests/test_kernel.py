@@ -151,12 +151,65 @@ def test_unit_structural_maps_are_identity():
     assert K.compare(UNIT) == K.identity(UNIT)
 
 
+def test_deterministic_is_the_kernel_of_a_partial_function():
+    A = Alphabet("pair", ("x", "y"))
+    AB = obj(A, B)
+    calls = []
+
+    def fn(o):
+        calls.append(o)
+        return None if o == ("y", "f") else o[1:]
+
+    k = K.deterministic(AB, BO, fn)
+    assert calls == list(AB.outcomes())
+    assert (k.dom, k.cod) == (AB, BO)
+    assert k == make_kernel(
+        AB, BO, {o: {o[1:]: 1} for o in AB.outcomes() if o != ("y", "f")}
+    )
+    assert K.is_deterministic(k) and not K.is_total(k)
+
+
+@given(objects(), objects())
+def test_structural_maps_are_their_functions(a, b):
+    def table_kernel(dom, cod, fn):
+        return make_kernel(dom, cod, {o: {fn(o): 1} for o in dom.outcomes()})
+
+    n = len(a.factors)
+    aa = a.tensor(a)
+    assert K.identity(a) == table_kernel(a, a, lambda o: o)
+    assert K.copy(a) == table_kernel(a, aa, lambda o: o + o)
+    assert K.discard(a) == table_kernel(a, UNIT, lambda o: ())
+    assert K.swap(a, b) == table_kernel(
+        a.tensor(b), b.tensor(a), lambda o: o[n:] + o[:n]
+    )
+    assert K.compare(a) == make_kernel(
+        aa, a, {o + o: {o: 1} for o in a.outcomes()}
+    )
+    point = next(a.outcomes())
+    assert K.dirac(a, point) == make_kernel(UNIT, a, {(): {point: 1}})
+    for k in (K.identity(a), K.copy(a), K.swap(a, b), K.compare(a)):
+        assert list(k.rows) == [x for x in k.dom.outcomes() if x in k.rows]
+
+
 def test_dirac_is_deterministic_total_state():
     d = K.dirac(BO, "t")
     assert d.prob((), "t") == 1
     assert K.is_total(d) and K.is_deterministic(d)
     with pytest.raises(UnknownLabel):
         K.dirac(BO, "x")
+
+
+def test_row_is_read_only():
+    half = K.state(BO, {"t": HALF})
+    with pytest.raises(TypeError):
+        half.row(())[("f",)] = 9
+    with pytest.raises(TypeError):
+        del half.row(())[("t",)]
+    with pytest.raises(TypeError):
+        bk({}).row("t")[("t",)] = 1
+    assert half.mass(()) == HALF and half.prob((), "f") == 0
+    assert not K.is_total(half)
+    assert half == K.state(BO, {"t": HALF})
 
 
 # -- predicates --------------------------------------------------------------

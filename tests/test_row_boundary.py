@@ -3,8 +3,9 @@
 Everything else goes through the kernel operations (compose, tensor,
 relabel, bend, normalise, ...) and the accessors row, prob and mass.
 Two exceptions are pinned: codec._write_kernel, the emission path that
-writes rows straight to text, and the random generators of laws.py,
-which draw rows directly.
+writes rows straight to text, and the random generators of laws.py that
+draw rows of general entries directly (random functions go through
+kernel.deterministic).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ SUBKERNEL_BUILDERS = {
     ("laws", "random_kernel"),
     ("laws", "_rand_kernel"),
     ("laws", "_rand_total_kernel"),
-    ("laws", "_rand_deterministic"),
 }
 
 

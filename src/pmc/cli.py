@@ -5,7 +5,8 @@ TermTooDeep, a document whose terms nest thousands of levels deep; a
 flat compose or tensor list of any length is one level), 2 when an
 inference result is mathematically undefined (impossible evidence, no
 feasible action, undefined utility).  Errors go to standard error as
-"error: <Code>: <message>".
+"error: <Code>: <message>".  Output is streamed to standard output; a
+reader that closes the pipe early is not an error (exit 0).
 """
 
 from __future__ import annotations
@@ -37,17 +38,13 @@ def _load_kernel(path: str):
     return codec.kernel_from_json(_load_json(path), where=path)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
 def _cmd_eval(args) -> int:
     alphabets, kernels = codec.env_from_json(
         _load_json(args.env) if args.env else {}
     )
     term = codec.term_from_json(_load_json(args.diagram), alphabets, kernels)
     infer_type(term)
-    _emit(codec.to_text(codec.kernel_to_json(evaluate(term))))
+    codec.write_text(codec.kernel_to_json(evaluate(term)), sys.stdout.write)
     return 0
 
 
@@ -55,21 +52,25 @@ def _cmd_solve(args) -> int:
     problem = codec.problem_from_json(_load_json(args.problem))
     prescription = edt.solve(problem)
     if args.format == "json":
-        _emit(codec.to_text(codec.prescription_to_json(prescription)))
+        codec.write_text(
+            codec.prescription_to_json(prescription), sys.stdout.write
+        )
     else:
-        _emit(codec.prescription_to_tsv(prescription))
+        sys.stdout.write(codec.prescription_to_tsv(prescription))
     return 0
 
 
 def _cmd_invert(args) -> int:
     channel = _load_kernel(args.channel)
     prior = _load_kernel(args.prior)
-    _emit(codec.to_text(codec.kernel_to_json(bayes_invert(channel, prior))))
+    inverse = bayes_invert(channel, prior)
+    codec.write_text(codec.kernel_to_json(inverse), sys.stdout.write)
     return 0
 
 
 def _cmd_normalise(args) -> int:
-    _emit(codec.to_text(codec.kernel_to_json(normalise(_load_kernel(args.kernel)))))
+    normalised = normalise(_load_kernel(args.kernel))
+    codec.write_text(codec.kernel_to_json(normalised), sys.stdout.write)
     return 0
 
 
@@ -81,7 +82,7 @@ def _cmd_update(args) -> int:
         posterior = pearl_update(prior, channel, evidence)
     else:
         posterior = jeffrey_update(prior, channel, evidence)
-    _emit(codec.to_text(codec.kernel_to_json(posterior)))
+    codec.write_text(codec.kernel_to_json(posterior), sys.stdout.write)
     return 0
 
 
@@ -102,10 +103,11 @@ def _cmd_laws(args) -> int:
     else:
         reports = laws.check_all(args.cases, seed)
     if args.format == "json":
-        _emit(codec.to_text([codec.report_to_json(r) for r in reports]))
+        payload = [codec.report_to_json(r) for r in reports]
+        codec.write_text(payload, sys.stdout.write)
     else:
         for r in reports:
-            _emit(codec.report_to_text(r))
+            sys.stdout.write(codec.report_to_text(r))
     return 0 if all(r.failures == 0 for r in reports) else 1
 
 
@@ -122,7 +124,7 @@ def _cmd_corpus(args) -> int:
         raise SchemaError("--printed-table only applies to death-in-damascus")
     else:
         problem = builder()
-    _emit(codec.to_text(codec.problem_to_json(problem)))
+    codec.write_text(codec.problem_to_json(problem), sys.stdout.write)
     return 0
 
 
@@ -203,7 +205,14 @@ def main(argv=None) -> int:
         # inference-undefined results, so remap usage problems to 1.
         return 0 if exc.code in (0, None) else 1
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`pmc eval ... | head`): that is not an
+        # error.  Point stdout at devnull so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except InferenceUndefined as exc:
         sys.stderr.write(f"error: {exc.code}: {exc}\n")
         return 2

@@ -5,8 +5,8 @@ lexicographic label order, rationals as reduced "num/den" (plain
 integers allowed) — so emit -> parse -> emit is byte-identical.
 
 kernel_to_json returns a KernelJSON: a read-only mapping over the
-kernel that to_text writes straight from the kernel's rows, with no
-payload tree in between; each label's quoted text is made once per
+kernel that write_text (and to_text, which joins its pieces) writes
+straight from the kernel's rows, with no payload tree in between; each label's quoted text is made once per
 kernel, from the labels its domain and codomain declare.  Read as a
 mapping, it is the plain JSON object {"dom", "cod", "rows"}, parsed
 back from that same text, so there is one rendering of rows; dict(p)
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from typing import Any
 
@@ -81,54 +81,60 @@ def to_text(payload: Any) -> str:
     floats and Fractions included, raises TypeError.
     """
     out: list[str] = []
-    _write(payload, "\n", out)
-    out.append("\n")
+    write_text(payload, out.append)
     return "".join(out)
+
+
+def write_text(payload: Any, write: Callable[[str], Any]) -> None:
+    """Write to_text(payload) piece by piece through write, so a large
+    payload is never held as one string."""
+    _write(payload, "\n", write)
+    write("\n")
 
 
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _write(value: Any, nl: str, out: list[str]) -> None:
-    """Append value's indent-2 text to out; nl is a newline plus the
-    indentation of the line value starts on."""
+def _write(value: Any, nl: str, write: Callable[[str], Any]) -> None:
+    """Write value's indent-2 text through write; nl is a newline plus
+    the indentation of the line value starts on."""
     kind = type(value)
     if kind is str:
-        out.append(_quote(value))
+        write(_quote(value))
     elif kind is dict:
         if not value:
-            out.append("{}")
+            write("{}")
             return
         inner = nl + "  "
         sep = "{" + inner
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"JSON object key must be str, not {key!r}")
-            out.append(sep + _quote(key) + ": ")
-            _write(item, inner, out)
+            write(sep + _quote(key) + ": ")
+            _write(item, inner, write)
             sep = "," + inner
-        out.append(nl + "}")
+        write(nl + "}")
     elif kind is KernelJSON:
-        _write_kernel(value.kernel, nl, out)
+        _write_kernel(value.kernel, nl, write)
     elif kind is list or kind is tuple:
         if not value:
-            out.append("[]")
+            write("[]")
             return
         inner = nl + "  "
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _write(item, inner, out)
+            write(sep)
+            _write(item, inner, write)
             sep = "," + inner
-        out.append(nl + "]")
+        write(nl + "]")
     elif kind is int:
-        out.append(repr(value))
+        write(repr(value))
     elif value is True:
-        out.append("true")
+        write("true")
     elif value is False:
-        out.append("false")
+        write("false")
     elif value is None:
-        out.append("null")
+        write("null")
     else:
         raise TypeError(
             f"{kind.__name__} is not in the JSON subset pmc emits: {value!r}"
@@ -140,17 +146,17 @@ def _quoted_labels(at: Obj, nl: str) -> dict[str, str]:
     return {x: nl + _quote(x) for a in at.factors for x in a.labels}
 
 
-def _write_kernel(k: SubKernel, nl: str, out: list[str]) -> None:
+def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
     """_write for a KernelJSON: the text of {"dom", "cod", "rows"} at
     indentation nl, written from k.rows with fixed templates."""
     i1, i2, i3, i4, i5 = (nl + "  " * n for n in range(1, 6))
-    out.append("{" + i1 + '"dom": ')
-    _write(obj_to_json(k.dom), i1, out)
-    out.append("," + i1 + '"cod": ')
-    _write(obj_to_json(k.cod), i1, out)
+    write("{" + i1 + '"dom": ')
+    _write(obj_to_json(k.dom), i1, write)
+    write("," + i1 + '"cod": ')
+    _write(obj_to_json(k.cod), i1, write)
     rows = k.rows
     if not rows:
-        out.append("," + i1 + '"rows": []' + nl + "}")
+        write("," + i1 + '"rows": []' + nl + "}")
         return
     # A row is {"in": [x...], "out": [{"val": [y...], "p": p}, ...]}.
     row_open = "{" + i3 + '"in": '
@@ -176,13 +182,13 @@ def _write_kernel(k: SubKernel, nl: str, out: list[str]) -> None:
                 f"{'[' + ','.join(map(val_label, y)) + val_close if y else '[]'}"
                 f"{p_open}{q.numerator if d == 1 else f'{q.numerator}/{d}'}{p_close}"
             )
-        out.append(
+        write(
             f"{sep}{row_open}"
             f"{'[' + ','.join(map(in_label, x)) + in_close if x else '[]'}"
             f"{row_out}{entry_sep.join(entries)}{row_close}"
         )
         sep = "," + i2
-    out.append(i1 + "]" + nl + "}")
+    write(i1 + "]" + nl + "}")
 
 
 def _require(doc: Any, key: str, kind, where: str) -> Any:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Optional
 
+from . import codec
 from . import conditioning as C
 from . import diagram as D
 from . import edt as E
@@ -74,7 +75,22 @@ def _composition(rng: Random, total: int, parts: int) -> list[int]:
     return out
 
 
-def _rows(rng: Random, dom: Obj, cod: Obj, density: Fraction) -> dict:
+def _rand_kernel(
+    rng: Random,
+    dom: Obj,
+    cod: Obj,
+    density: Optional[Fraction] = None,
+    total: bool = False,
+) -> SubKernel:
+    """A random kernel: each entry is nonzero with probability `density`,
+    and each row mass is a rational <= 1 with denominator <= 64.
+
+    A density of None is drawn from 4/10 ... 10/10, or is 7/10 when
+    `total`.  A total kernel gives a row with no drawn entry one output
+    picked at random, and every row mass one.
+    """
+    if density is None:
+        density = Fraction(7 if total else _rand_int(rng, 4, 10), 10)
     rows: dict = {}
     outcomes = list(cod.outcomes())
     # random() is k / 2**53 for an integer k, so random() < density iff
@@ -84,13 +100,15 @@ def _rows(rng: Random, dom: Obj, cod: Obj, density: Fraction) -> dict:
     for x in dom.outcomes():
         included = [y for y in outcomes if rng.random() < cut]
         if not included:
-            continue
+            if not total:
+                continue
+            included = [_choice(rng, outcomes)]
         n = len(included)
         den = _rand_int(rng, max(2, n), MAX_DENOMINATOR)
-        total = den if rng.random() < 0.5 else _rand_int(rng, n, den)
-        weights = _composition(rng, total, n)
+        mass = den if total or rng.random() < 0.5 else _rand_int(rng, n, den)
+        weights = _composition(rng, mass, n)
         rows[x] = {y: Fraction(w, den) for y, w in zip(included, weights)}
-    return rows
+    return SubKernel(dom, cod, rows)
 
 
 def random_kernel(seed: int, dom: Obj, cod: Obj, density) -> SubKernel:
@@ -106,30 +124,7 @@ def random_kernel(seed: int, dom: Obj, cod: Obj, density) -> SubKernel:
     rng = _stable_rng(
         "kernel", seed, _describe_obj(dom), _describe_obj(cod), density
     )
-    return SubKernel(dom, cod, _rows(rng, dom, cod, density))
-
-
-def _rand_kernel(
-    rng: Random, dom: Obj, cod: Obj, density: Optional[Fraction] = None
-) -> SubKernel:
-    if density is None:
-        density = Fraction(_rand_int(rng, 4, 10), 10)
-    return SubKernel(dom, cod, _rows(rng, dom, cod, density))
-
-
-def _rand_total_kernel(rng: Random, dom: Obj, cod: Obj) -> SubKernel:
-    """A random kernel with every row mass exactly one."""
-    rows: dict = {}
-    outcomes = list(cod.outcomes())
-    for x in dom.outcomes():
-        included = [y for y in outcomes if rng.random() < 0.7]
-        if not included:
-            included = [_choice(rng, outcomes)]
-        n = len(included)
-        den = _rand_int(rng, max(2, n), MAX_DENOMINATOR)
-        weights = _composition(rng, den, n)
-        rows[x] = {y: Fraction(w, den) for y, w in zip(included, weights)}
-    return SubKernel(dom, cod, rows)
+    return _rand_kernel(rng, dom, cod, density)
 
 
 def _rand_deterministic(
@@ -172,8 +167,6 @@ def _rand_point(rng: Random, at: Obj) -> tuple[str, ...]:
 
 
 def _as_payload(value):
-    from . import codec  # local import: codec depends on other modules only
-
     if isinstance(value, SubKernel):
         return codec.kernel_to_json(value)
     if isinstance(value, Fraction):
@@ -620,7 +613,7 @@ def _law_quasi_total_iff(rng: Random) -> Optional[dict]:
 def _law_predicate_diagram(rng: Random) -> Optional[dict]:
     x, y = _rand_obj(rng, 0), _rand_obj(rng, 2)
     f = _rand_kernel(rng, x, y)
-    for g in (f, C.normalise(f), _rand_total_kernel(rng, x, y)):
+    for g in (f, C.normalise(f), _rand_kernel(rng, x, y, total=True)):
         total_eq = K.failure_probability(g) == K.discard(g.dom)
         if K.is_total(g) != total_eq:
             return _mismatch(
@@ -739,7 +732,7 @@ def _rand_leaf(rng: Random, dom: Obj, pool, counter) -> tuple[D.Term, Obj]:
     if choice == "gen":
         cod = _pool_obj(rng, pool, max_width=2)
         counter[0] += 1
-        k = _rand_total_kernel(rng, dom, cod)
+        k = _rand_kernel(rng, dom, cod, total=True)
         return D.Gen(f"g{counter[0]}", k), cod
     if choice == "id":
         return D.Id(dom), dom
@@ -825,11 +818,11 @@ def _rand_problem(rng: Random) -> E.DecisionProblem:
     actions = Alphabet("action", _LABELS[: _rand_int(rng, 1, 4)])
     a_obj = Obj((actions,))
     u_obj = Obj((_rand_alphabet(rng, 3),))
-    environment = _rand_total_kernel(rng, UNIT, cond.tensor(seen))
+    environment = _rand_kernel(rng, UNIT, cond.tensor(seen), total=True)
     if rng.random() < 0.3:
         agent = _rand_deterministic(rng, seen, a_obj)
     else:
-        agent = _rand_total_kernel(rng, seen, a_obj)
+        agent = _rand_kernel(rng, seen, a_obj, total=True)
     density = Fraction(0) if rng.random() < 0.15 else None
     consequence = _rand_kernel(rng, cond.tensor(a_obj), u_obj, density)
     utilities = {

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +115,51 @@ def test_eval_flat_compose_of_3000_terms_exits_0(tmp_path, capsys):
     assert capsys.readouterr().out == codec.to_text(
         codec.kernel_to_json(K.identity(bit))
     )
+
+
+def wide_id_eval(tmp_path) -> list[str]:
+    """A `python -m pmc.cli eval` command for id over 16 binary factors:
+    65,536 rows, about 40 MB of text."""
+    term = write_json(tmp_path / "id16.json", {"op": "id", "obj": ["bit"] * 16})
+    return [sys.executable, "-m", "pmc.cli", "eval", term, "--env", bit_env(tmp_path)]
+
+
+def src_env() -> dict:
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+# Runs its arguments as a child and prints that child's peak RSS in KiB.
+# Pytest's own RUSAGE_CHILDREN keeps the largest child of the whole session.
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is KiB on Linux")
+def test_eval_streams_large_output_in_bounded_memory(tmp_path):
+    # Holding the whole text as one string peaked at about 128 MB.
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *wide_id_eval(tmp_path)],
+        env=src_env(), capture_output=True, text=True, check=True,
+    )
+    assert int(done.stdout) / 1024 < 90
+
+
+def test_eval_exits_0_when_the_reader_closes_the_pipe(tmp_path):
+    proc = subprocess.Popen(
+        wide_id_eval(tmp_path),
+        env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_eval_deep_compose_exits_1_without_traceback(tmp_path, capsys):

@@ -118,6 +118,9 @@ _payloads = st.recursive(
 @example(["a", "b\x01", "\u2603"])
 def test_to_text_matches_json_dumps_indent_2(payload):
     assert codec.to_text(payload) == json.dumps(payload, indent=2) + "\n"
+    pieces: list[str] = []
+    codec.write_text(payload, pieces.append)
+    assert "".join(pieces) == codec.to_text(payload)
 
 
 @pytest.mark.parametrize(

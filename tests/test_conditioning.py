@@ -226,14 +226,6 @@ def test_conditional_on_unit_split_is_normalisation():
     assert c == C.normalise(JOINT)
 
 
-@given(kernels(cod=obj(B, X)))
-def test_splitting_recovers_joint(f):
-    for split in (0, 1, 2):
-        m = C.marginal(f, split)
-        c = C.conditional(f, split)
-        assert C.cond_compose(m, c) == f
-
-
 def test_cond_compose_example():
     coin = state(BO, {"t": Fraction(1, 2), "f": Fraction(1, 2)})
     # The conditional projects its conditioning wire back out.
@@ -267,21 +259,6 @@ def test_normalise_keeps_all_fail_rows():
     assert n.mass("f") == 0
 
 
-@given(kernels())
-def test_normalise_idempotent_and_quasi_total(f):
-    n = C.normalise(f)
-    assert C.normalise(n) == n
-    assert K.is_quasi_total(n)
-
-
-@given(kernels())
-def test_normalisation_equation(f):
-    rebuilt = K.compose(
-        K.copy(f.dom), K.tensor(C.normalise(f), K.failure_probability(f))
-    )
-    assert rebuilt == f
-
-
 # -- Bayesian inversion ------------------------------------------------------
 
 
@@ -306,19 +283,6 @@ def test_bayes_invert_outside_pushforward_fails():
 def test_bayes_invert_type_check():
     with pytest.raises(TypeMismatch):
         C.bayes_invert(CHANNEL, state(YO, {"y": 1}))
-
-
-@given(kernels(dom=UNIT, cod=obj(X)))
-def test_bayes_inversion_equation(prior):
-    inv = C.bayes_invert(CHANNEL, prior)
-    lhs = K.compose(
-        K.compose(prior, K.copy(XO)), K.tensor(K.identity(XO), CHANNEL)
-    )
-    push = K.compose(prior, CHANNEL)
-    rhs = K.compose(
-        K.compose(push, K.copy(YO)), K.tensor(inv, K.identity(YO))
-    )
-    assert lhs == rhs
 
 
 # -- update rules ------------------------------------------------------------
@@ -362,14 +326,3 @@ def test_jeffrey_update_impossible_evidence():
     evidence = state(YO, {"n": 1})
     with pytest.raises(ImpossibleEvidence):
         C.jeffrey_update(prior, CHANNEL, evidence)
-
-
-def test_pearl_equals_jeffrey_on_deterministic_evidence():
-    from pmc.diagram import observe_kernel
-
-    for label in Y.labels:
-        predicate = observe_kernel(YO, (label,))
-        evidence = K.dirac(YO, (label,))
-        assert C.pearl_update(SIGMA, CHANNEL, predicate) == C.jeffrey_update(
-            SIGMA, CHANNEL, evidence
-        )

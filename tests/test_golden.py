@@ -120,10 +120,10 @@ def test_newcomb_noise_sweep_refuses_bad_noise(noise, message, capsys):
 
 
 def random_kernels_text() -> str:
-    """Kernels from laws.random_kernel, laws._rand_kernel,
-    laws._rand_total_kernel and laws._rand_deterministic (total and
-    partial) at a few seeds and densities, one line per row in stored
-    order."""
+    """Kernels from laws.random_kernel, laws._rand_kernel (general, and
+    total under the golden file's `_rand_total_kernel` labels) and
+    laws._rand_deterministic (total and partial) at a few seeds and
+    densities, one line per row in stored order."""
     x = Obj((Alphabet("x", ("x0", "x1")),))
     yz = Obj((Alphabet("y", ("y0", "y1")), Alphabet("z", ("z0", "z1"))))
     densities = ("0", "1/3", "7/10", "1")
@@ -142,8 +142,11 @@ def random_kernels_text() -> str:
     for seed in (0, 1, 7):
         rng = Random(seed)
         made += [
-            (f"_rand_total_kernel({seed})", laws._rand_total_kernel(rng, x, yz)),
-            (f"_rand_total_kernel({seed}, yz)", laws._rand_total_kernel(rng, yz, x)),
+            (f"_rand_total_kernel({seed})", laws._rand_kernel(rng, x, yz, total=True)),
+            (
+                f"_rand_total_kernel({seed}, yz)",
+                laws._rand_kernel(rng, yz, x, total=True),
+            ),
             (f"_rand_deterministic({seed})", laws._rand_deterministic(rng, yz, x)),
             (
                 f"_rand_deterministic({seed}, partial)",

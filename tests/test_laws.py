@@ -126,18 +126,31 @@ class _Draws:
     [Fraction(1, 3), Fraction(7, 10), Fraction(1, 2**53), Fraction(2**60 - 1, 2**60)],
 )
 def test_density_test_is_exact_at_the_boundary(density):
-    # random() is k / 2**53; the draws just below and at the density.
-    k = -(-density.numerator * 2**53 // density.denominator)
-    draws = [(k - 1) / 2**53, k / 2**53, (k + 1) / 2**53, 0.0]
+    # random() is c / 2**53; the draws just below and at the density.  At
+    # 7/10 the draw just below is the one a float test `< 0.7` excludes.
+    c = -(-density.numerator * 2**53 // density.denominator)
+    draws = [(c - 1) / 2**53, c / 2**53, (c + 1) / 2**53, 0.0]
     cod = obj(Alphabet("x", ("a", "b", "c", "d")))
-    rows = laws._rows(_Draws(draws), UNIT, cod, density)
     expected = [y for y, r in zip(cod.outcomes(), draws) if r < density]
-    assert list(rows[()]) == expected
+    for total in (False, True):
+        k = laws._rand_kernel(_Draws(draws), UNIT, cod, density, total=total)
+        assert list(k.row(())) == expected, f"total={total}"
+
+
+def test_total_kernel_fills_a_row_with_no_drawn_entry():
+    # No draw passes the 7/10 cut: a total kernel picks one output and
+    # gives it mass 1, where a general kernel leaves the row out.
+    cod = obj(Alphabet("x", ("a", "b", "c", "d")))
+    k = laws._rand_kernel(_Draws([0.9] * 4), UNIT, cod, total=True)
+    assert len(k.row(())) == 1
+    assert k.mass(()) == 1
+    general = laws._rand_kernel(_Draws([0.9] * 4), UNIT, cod, Fraction(7, 10))
+    assert general.rows == {}
 
 
 def test_random_total_kernel_is_total():
     rng = laws._stable_rng("t", 1)
-    k = laws._rand_total_kernel(rng, BO, obj(Alphabet("x", ("a", "b", "c"))))
+    k = laws._rand_kernel(rng, BO, obj(Alphabet("x", ("a", "b", "c"))), total=True)
     assert K.is_total(k)
 
 

@@ -3,9 +3,9 @@
 Everything else goes through the kernel operations (compose, tensor,
 relabel, bend, normalise, ...) and the accessors row, prob and mass.
 Two exceptions are pinned: codec._write_kernel, the emission path that
-writes rows straight to text, and the random generators of laws.py that
-draw rows of general entries directly (random functions go through
-kernel.deterministic).
+writes rows straight to text, and laws._rand_kernel, the one generator
+that draws random kernels of general entries and builds them directly
+(random functions go through kernel.deterministic).
 """
 
 from __future__ import annotations
@@ -16,11 +16,7 @@ from pathlib import Path
 SRC = Path(__file__).parent.parent / "src" / "pmc"
 
 ROWS_READERS = {("codec", "_write_kernel")}
-SUBKERNEL_BUILDERS = {
-    ("laws", "random_kernel"),
-    ("laws", "_rand_kernel"),
-    ("laws", "_rand_total_kernel"),
-}
+SUBKERNEL_BUILDERS = {("laws", "_rand_kernel")}
 
 
 def _uses_outside_kernel():

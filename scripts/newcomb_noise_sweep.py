@@ -25,9 +25,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from pmc import edt
+from pmc import cli, edt
 from pmc.codec import format_fraction, parse_fraction
-from pmc.errors import PmcError
 
 
 def sweep_points(steps: int) -> list[Fraction]:
@@ -48,6 +47,19 @@ def report_line(noise: Fraction) -> str:
     )
 
 
+def write_report(noise: list[str] | None, steps: int) -> int:
+    """Write the table for the given noise values, or for the grid."""
+    if noise is not None:
+        points = [parse_fraction(v) for v in noise]
+    else:
+        points = sweep_points(steps)
+    # Every line is computed before any is written: a bad value writes none.
+    lines = [report_line(p) for p in points]
+    sys.stdout.write("noise\tEU(one-box)\tEU(two-box)\tprescribed\n")
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=10, help="grid steps")
@@ -62,19 +74,7 @@ def main(argv=None) -> int:
 
     if args.noise is None and args.steps < 1:
         parser.error("--steps must be at least 1")
-    try:
-        if args.noise is not None:
-            points = [parse_fraction(v) for v in args.noise]
-        else:
-            points = sweep_points(args.steps)
-        lines = [report_line(noise) for noise in points]
-    except PmcError as exc:
-        sys.stderr.write(f"error: {exc.code}: {exc}\n")
-        return 1
-
-    sys.stdout.write("noise\tEU(one-box)\tEU(two-box)\tprescribed\n")
-    sys.stdout.write("".join(line + "\n" for line in lines))
-    return 0
+    return cli.guarded(lambda: write_report(args.noise, args.steps))
 
 
 if __name__ == "__main__":

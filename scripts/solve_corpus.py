@@ -12,7 +12,24 @@ from __future__ import annotations
 import argparse
 import sys
 
-from pmc import codec, edt
+from pmc import cli, codec, edt
+
+
+def write_prescriptions(names: list[str], fmt: str) -> int:
+    if fmt == "json":
+        payload = [
+            codec.prescription_to_json(edt.solve(edt.CORPUS[name]()))
+            for name in names
+        ]
+        codec.write_text(payload, sys.stdout.write)
+        return 0
+
+    for name in names:
+        prescription = edt.solve(edt.CORPUS[name]())
+        sys.stdout.write(f"== {name} ==\n")
+        sys.stdout.write(codec.prescription_to_tsv(prescription))
+        sys.stdout.write("\n")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -29,21 +46,7 @@ def main(argv=None) -> int:
     unknown = [n for n in names if n not in edt.CORPUS]
     if unknown:
         parser.error(f"unknown problem(s): {', '.join(unknown)}")
-
-    if args.format == "json":
-        payload = [
-            codec.prescription_to_json(edt.solve(edt.CORPUS[name]()))
-            for name in names
-        ]
-        sys.stdout.write(codec.to_text(payload))
-        return 0
-
-    for name in names:
-        prescription = edt.solve(edt.CORPUS[name]())
-        sys.stdout.write(f"== {name} ==\n")
-        sys.stdout.write(codec.prescription_to_tsv(prescription))
-        sys.stdout.write("\n")
-    return 0
+    return cli.guarded(lambda: write_prescriptions(names, args.format))
 
 
 if __name__ == "__main__":

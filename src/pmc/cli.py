@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import codec, edt, laws
 from .conditioning import bayes_invert, jeffrey_update, normalise, pearl_update
@@ -196,16 +197,16 @@ def _run(args) -> int:
         ) from exc
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def guarded(body: Callable[[], int]) -> int:
+    """Run an entry point's work and return its exit status.
+
+    body returns the status on success.  A PmcError becomes
+    "error: <Code>: <message>" on standard error and status 1, or 2 for
+    InferenceUndefined.  A reader that closed standard output early is
+    not an error: the status is 0.
+    """
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; our exit 2 is reserved for
-        # inference-undefined results, so remap usage problems to 1.
-        return 0 if exc.code in (0, None) else 1
-    try:
-        code = _run(args)
+        code = body()
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:
@@ -219,6 +220,17 @@ def main(argv=None) -> int:
     except PmcError as exc:
         sys.stderr.write(f"error: {exc.code}: {exc}\n")
         return 1
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors; our exit 2 is reserved for
+        # inference-undefined results, so remap usage problems to 1.
+        return 0 if exc.code in (0, None) else 1
+    return guarded(lambda: _run(args))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ node holding terms (a, b, c), with no bracketing to choose.  A subterm's
 path is "t" followed by ".terms[i]" per level, as the codec's JSON paths
 are "diagram" followed by the same steps, so an IllTyped message names
 its place in the document.  evaluate interprets any well-typed term as
-a subdistribution kernel.  normal_form factors a term built from total
+a subdistribution kernel; wiring inside a composition chain is folded
+into the kernel built so far instead of being built itself (see
+evaluate).  normal_form factors a term built from total
 generators and observations into a pair (g, h): a total kernel g giving
 the outcome distribution where the term can succeed, and a total
 Boolean kernel h giving the success probability, so that the term's
@@ -139,7 +141,20 @@ def observe_kernel(at: Obj, point) -> SubKernel:
 
 
 def evaluate(term: Term) -> SubKernel:
-    """Interpret a well-typed term as a kernel."""
+    """Interpret a well-typed term as a kernel.
+
+    A Compose folds left to right: each later term acts on the kernel f
+    built so far.  An Id leaves f as it is, and a Copy or Swap moves
+    f's outputs by its function (kernel.relabel).  A Tensor of Ids
+    around one other term g is f ; (id_L (x) g (x) id_R), computed as
+    kernel.compose(f, evaluate(g), at=len(L)).  None of these becomes a
+    kernel of its own, and no |L|- or |R|-sized identity is multiplied
+    through.  Every other term (Discard, Observe, Compare, a generator,
+    any other Tensor or Compose) is evaluated and composed with f.  A
+    term whose domain is not f's codomain raises the TypeMismatch that
+    composing with its kernel would.  A Tensor outside a composition
+    chain is the product of its terms' kernels.
+    """
     match term:
         case Gen(_, k):
             return k
@@ -156,7 +171,28 @@ def evaluate(term: Term) -> SubKernel:
         case Observe(x, point):
             return observe_kernel(x, point)
         case Compose(terms):
-            return reduce(K.compose, map(evaluate, terms))
+            f = evaluate(terms[0])
+            for t in terms[1:]:
+                match t:
+                    case Id(x):
+                        K.require_composable(f.cod, x)
+                    case Copy(x):
+                        K.require_composable(f.cod, x)
+                        f = K.relabel(f, lambda _, y: K.doubled(y), x.tensor(x))
+                    case Swap(x, y):
+                        K.require_composable(f.cod, x.tensor(y))
+                        fn = K.swapped(x)
+                        f = K.relabel(f, lambda _, o: fn(o), y.tensor(x))
+                    case Tensor(ts) if sum(type(c) is not Id for c in ts) == 1:
+                        i = next(i for i, c in enumerate(ts) if type(c) is not Id)
+                        g = evaluate(ts[i])
+                        left = reduce(Obj.tensor, (c.obj for c in ts[:i]), UNIT)
+                        right = reduce(Obj.tensor, (c.obj for c in ts[i + 1 :]), UNIT)
+                        K.require_composable(f.cod, left.tensor(g.dom).tensor(right))
+                        f = K.compose(f, g, at=len(left.factors))
+                    case _:
+                        f = K.compose(f, evaluate(t))
+            return f
         case Tensor(terms):
             return reduce(K.tensor, map(evaluate, terms))
     raise IllTyped(f"not a term: {term!r}")

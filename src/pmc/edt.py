@@ -110,6 +110,10 @@ def model_term(problem: DecisionProblem) -> Term:
     """The joint model I -> U (x) A as a diagram:
 
     environment ; (id_C (x) (agent ; copy_A)) ; (consequence (x) id_A).
+
+    evaluate folds both whiskered terms into the composition, so neither
+    id_C (x) (agent ; copy_A) nor the |C (x) A| x |A|-row consequence
+    (x) id_A is ever built as a kernel.
     """
     c = problem.condition_obj
     a = problem.action_obj

@@ -9,7 +9,12 @@ row-mass check in make_kernel sum integer numerators over one common
 denominator per row internally, and only the finished row becomes
 Fractions again.  compose numbers the output outcomes in first-seen
 order and sums each row keyed by those numbers; make_kernel checks each
-distinct output tuple against the codomain once per call.
+distinct output tuple against the codomain once per call.  compose also
+whiskers: compose(f, g, at=k) is f ; (id (x) g (x) id) with g reading
+the codomain factors of f from the k-th on, and no identity kernel is
+built or multiplied through.  The functions of copy and swap (doubled,
+swapped) are stated once, here, for their kernels and for callers that
+move outputs with relabel instead.
 
 This module is the only one that reads or builds rows.  The rest of
 the package works through compose, tensor, deterministic (the kernel of
@@ -215,9 +220,20 @@ def identity(at: Obj) -> SubKernel:
     return deterministic(at, at, lambda a: a)
 
 
+def doubled(a: Outcome) -> Outcome:
+    """copy's function: a |-> (a, a), flattened."""
+    return a + a
+
+
+def swapped(left: Obj) -> Callable[[Outcome], Outcome]:
+    """swap(left, right)'s function: (l, r) |-> (r, l)."""
+    n = len(left.factors)
+    return lambda o: o[n:] + o[:n]
+
+
 def copy(at: Obj) -> SubKernel:
     """a |-> (a, a), flattened; on the unit object this is the identity."""
-    return deterministic(at, at.tensor(at), lambda a: a + a)
+    return deterministic(at, at.tensor(at), doubled)
 
 
 def discard(at: Obj) -> SubKernel:
@@ -225,10 +241,7 @@ def discard(at: Obj) -> SubKernel:
 
 
 def swap(left: Obj, right: Obj) -> SubKernel:
-    n = len(left.factors)
-    return deterministic(
-        left.tensor(right), right.tensor(left), lambda o: o[n:] + o[:n]
-    )
+    return deterministic(left.tensor(right), right.tensor(left), swapped(left))
 
 
 def compare(at: Obj) -> SubKernel:
@@ -238,8 +251,7 @@ def compare(at: Obj) -> SubKernel:
     This is the partial Frobenius multiplication; it is the only
     structural map that is not total.
     """
-    doubled = deterministic(at, at.tensor(at), lambda a: a + a)
-    return bend(doubled, len(at.factors))
+    return bend(deterministic(at, at.tensor(at), doubled), len(at.factors))
 
 
 def _row_numerators(row: Row) -> tuple[int, list[int]]:
@@ -250,14 +262,22 @@ def _row_numerators(row: Row) -> tuple[int, list[int]]:
 
 
 def _numbered_row(
-    row: Row, index: dict[Outcome, int], outcomes: list[Outcome]
+    den_nums: tuple[int, list[int]],
+    row: Row,
+    pre: Outcome,
+    post: Outcome,
+    index: dict[Outcome, int],
+    outcomes: list[Outcome],
 ) -> IntRow:
-    """A row as (den, [(output's number, numerator)]), as _row_numerators
-    gives it.  Outputs new to index are numbered in first-seen order and
-    appended to outcomes, so outcomes[i] is output number i."""
-    den, nums = _row_numerators(row)
+    """A row given as _row_numerators gives it, (den, numerators), with
+    each of its outputs z placed in context as pre + z + post, as
+    (den, [(output's number, numerator)]) in row order.  Outputs new to
+    index are numbered in first-seen order and appended to outcomes, so
+    outcomes[i] is output number i."""
+    den, nums = den_nums
     numbered = []
-    for y, n in zip(row, nums):
+    for z, n in zip(row, nums):
+        y = pre + z + post
         i = index.get(y)
         if i is None:
             i = index[y] = len(outcomes)
@@ -266,8 +286,28 @@ def _numbered_row(
     return den, numbered
 
 
-def compose(f: SubKernel, g: SubKernel) -> SubKernel:
+def require_composable(cod: Obj, dom: Obj) -> None:
+    """Raise TypeMismatch unless a kernel into cod can feed one out of dom."""
+    if cod != dom:
+        raise TypeMismatch(
+            f"cannot compose: first codomain {cod!r} != second domain {dom!r}"
+        )
+
+
+def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
     """Sequential composition f ; g, summing over the middle object.
+
+    With at=k, g acts on f's codomain factors from the k-th on, and the
+    factors before it (L) and after it (R) pass through unchanged: the
+    result is the whiskered composite f ; (id_L (x) g (x) id_R), and f's
+    codomain must be that kernel's domain, L (x) g.dom (x) R, and an
+    offset that does not place g.dom inside f's codomain raises
+    TypeMismatch.  Without
+    at, f's codomain must be g's domain itself, so a plain composition
+    never whiskers by accident.  g's row for an output y of f is looked
+    up by the slice of y that g reads.  Each distinct slice has its row
+    converted to integers once, however many contexts (y's factors in L
+    and R) share it, and only the rows that f reaches are converted.
 
     Each output row is summed in integers: every product p * q is
     brought over one common denominator D for the row (an lcm), and the
@@ -276,13 +316,24 @@ def compose(f: SubKernel, g: SubKernel) -> SubKernel:
     hashes cost nothing, not by outcome tuples, whose hashes are
     recomputed on every lookup.
     """
-    if f.cod != g.dom:
-        raise TypeMismatch(
-            f"cannot compose: first codomain {f.cod!r} != second domain {g.dom!r}"
-        )
+    if at is None:
+        require_composable(f.cod, g.dom)
+        k, j, cod = 0, len(g.dom.factors), g.cod
+    else:
+        k, j = at, at + len(g.dom.factors)
+        if not 0 <= k <= len(f.cod.factors) - len(g.dom.factors):
+            raise TypeMismatch(
+                f"cannot compose: offset {k} does not place domain "
+                f"{g.dom!r} inside first codomain {f.cod!r}"
+            )
+        left, right = Obj(f.cod.factors[:k]), Obj(f.cod.factors[j:])
+        require_composable(f.cod, left.tensor(g.dom).tensor(right))
+        cod = left.tensor(g.cod).tensor(right)
     index: dict[Outcome, int] = {}
     outcomes: list[Outcome] = []
     # g's rows are converted on first use: f may reach only a few of them.
+    # g_nums holds them by slice, g_int numbered for each output of f.
+    g_nums: dict[Outcome, tuple[int, list[int]]] = {}
     g_int: dict[Outcome, IntRow] = {}
     rows: dict[Outcome, Row] = {}
     for x, frow in f.rows.items():
@@ -291,10 +342,16 @@ def compose(f: SubKernel, g: SubKernel) -> SubKernel:
         for y, p in frow.items():
             gy = g_int.get(y)
             if gy is None:
-                grow = g.rows.get(y)
+                s = y[k:j]
+                grow = g.rows.get(s)
                 if not grow:
                     continue
-                gy = g_int[y] = _numbered_row(grow, index, outcomes)
+                nums = g_nums.get(s)
+                if nums is None:
+                    nums = g_nums[s] = _row_numerators(grow)
+                gy = g_int[y] = _numbered_row(
+                    nums, grow, y[:k], y[j:], index, outcomes
+                )
             terms.append((p.numerator, p.denominator * gy[0], gy[1]))
         if not terms:
             continue
@@ -305,7 +362,7 @@ def compose(f: SubKernel, g: SubKernel) -> SubKernel:
             for i, n in grow:
                 acc[i] = acc.get(i, 0) + scale * n
         rows[x] = {outcomes[i]: Fraction(n, den) for i, n in acc.items()}
-    return SubKernel(f.dom, g.cod, rows)
+    return SubKernel(f.dom, cod, rows)
 
 
 def tensor(f: SubKernel, g: SubKernel) -> SubKernel:

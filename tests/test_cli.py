@@ -162,6 +162,29 @@ def test_eval_exits_0_when_the_reader_closes_the_pipe(tmp_path):
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "script",
+    [
+        ["solve_corpus.py", "--format", "json"],
+        ["solve_corpus.py"],
+        ["newcomb_noise_sweep.py", "--steps", "200"],
+    ],
+)
+def test_scripts_exit_0_when_the_reader_closes_the_pipe(script):
+    # The pipe is closed before the script has written anything, as in
+    # `python scripts/solve_corpus.py --format json | true`.
+    path = Path(__file__).parent.parent / "scripts" / script[0]
+    proc = subprocess.Popen(
+        [sys.executable, str(path), *script[1:]],
+        env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 def test_eval_deep_compose_exits_1_without_traceback(tmp_path, capsys):
     # Each compose holds the next as its only term: 3000 levels of nesting.
     leaf = '{"op": "id", "obj": ["bit"]}'

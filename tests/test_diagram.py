@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from pmc import kernel as K
 from pmc.diagram import (
@@ -26,8 +29,10 @@ from pmc.diagram import (
     normal_form,
     observe_kernel,
 )
-from pmc.errors import IllTyped, NonTotalGenerator, UnknownLabel
-from pmc.kernel import Alphabet, UNIT, make_kernel, obj, state
+from pmc.errors import IllTyped, NonTotalGenerator, TypeMismatch, UnknownLabel
+from pmc.kernel import Alphabet, Obj, UNIT, make_kernel, obj, state
+
+from conftest import kernels
 
 B = Alphabet("bool", ("t", "f"))
 BO = obj(B)
@@ -98,6 +103,197 @@ def test_evaluate_observe_restricts_to_point():
 def test_coin_observe_scalar():
     term = Compose(Gen("coin", COIN), Observe(BO, ("t",)))
     assert evaluate(term).prob((), ()) == Fraction(1, 2)
+
+
+# -- evaluate against a plain fold -------------------------------------------
+
+
+def _fold(term):
+    """The reference semantics: each leaf is its kernel constructor's
+    kernel, each Compose a left fold of K.compose, each Tensor of K.tensor."""
+    match term:
+        case Gen(_, k):
+            return k
+        case Id(x):
+            return K.identity(x)
+        case Copy(x):
+            return K.copy(x)
+        case Discard(x):
+            return K.discard(x)
+        case Swap(x, y):
+            return K.swap(x, y)
+        case Compare(x):
+            return K.compare(x)
+        case Observe(x, point):
+            return observe_kernel(x, point)
+        case Compose(terms):
+            return reduce(K.compose, map(_fold, terms))
+        case Tensor(terms):
+            return reduce(K.tensor, map(_fold, terms))
+
+
+def _result(interpret, term):
+    """interpret(term), or the message of the TypeMismatch it raises."""
+    try:
+        return interpret(term)
+    except TypeMismatch as exc:
+        return str(exc)
+
+
+# Two alphabets, so halves of a wire often match and Compare applies.
+_POOL = (B, Alphabet("three", ("x", "y", "z")))
+_WIDTH = 4  # no wire carries more factors, so every kernel stays small
+
+
+def _wide(draw, n: int) -> Obj:
+    return Obj(tuple(draw(st.sampled_from(_POOL)) for _ in range(n)))
+
+
+def _wire(draw, x: Obj) -> Obj:
+    """x, or now and then another object, which makes the term ill-typed."""
+    if draw(st.integers(0, 11)):
+        return x
+    return _wide(draw, draw(st.integers(0, 2)))
+
+
+@st.composite
+def leaves(draw, dom: Obj, room: int):
+    """A leaf out of dom, of any kind, whose codomain has at most `room`
+    factors; generators are partial in general.  Returns (term, cod)."""
+    n = len(dom.factors)
+    half = Obj(dom.factors[: n // 2])
+    kinds = ["gen", "gen", "discard", "observe"]
+    if n <= room:
+        kinds.append("id")
+    if 2 * n <= room:
+        kinds.append("copy")
+    if 2 <= n <= room:
+        kinds.append("swap")
+    if n % 2 == 0 and half.tensor(half) == dom:
+        kinds += ["compare", "compare"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "gen":
+        cod = _wide(draw, draw(st.integers(0, min(room, 2))))
+        return Gen("g", draw(kernels(dom=dom, cod=cod))), cod
+    if kind == "discard":
+        return Discard(_wire(draw, dom)), UNIT
+    if kind == "observe":
+        return Observe(dom, draw(st.sampled_from(list(dom.outcomes())))), UNIT
+    if kind == "id":
+        return Id(_wire(draw, dom)), dom
+    if kind == "copy":
+        return Copy(_wire(draw, dom)), dom.tensor(dom)
+    if kind == "compare":
+        return Compare(_wire(draw, half)), half
+    k = draw(st.integers(1, n - 1))
+    left, right = Obj(dom.factors[:k]), Obj(dom.factors[k:])
+    return Swap(_wire(draw, left), right), right.tensor(left)
+
+
+@st.composite
+def terms(draw, dom: Obj, room: int = _WIDTH, depth: int = 2):
+    """A term out of dom of every node kind: leaves, Compose chains,
+    Tensors, and Tensors of Ids around one term at a drawn offset, which
+    evaluate folds into the chain before them.  Now and then a wire's
+    object is wrong (see _wire).  Returns (term, cod)."""
+    n = len(dom.factors)
+    kinds = ["leaf"] if depth == 0 else ["leaf", "compose", "compose", "tensor"]
+    if depth and n <= room:
+        kinds += ["whisker", "whisker"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        return draw(leaves(dom, room))
+    if kind == "compose":
+        parts, cod = [], dom
+        for _ in range(draw(st.integers(2, 4))):
+            part, cod = draw(terms(cod, room, depth - 1))
+            parts.append(part)
+        return Compose(*parts), cod
+    if kind == "tensor":
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=1, max_size=2)))
+        bounds = [0, *cuts, n]
+        parts, cod = [], UNIT
+        for lo, hi in zip(bounds, bounds[1:]):
+            piece = Obj(dom.factors[lo:hi])
+            part, c = draw(terms(piece, room - len(cod.factors), depth - 1))
+            parts.append(part)
+            cod = cod.tensor(c)
+        return Tensor(*parts), cod
+    k = draw(st.integers(0, n))
+    m = draw(st.integers(0, n - k))
+    left, right = Obj(dom.factors[:k]), Obj(dom.factors[k + m :])
+    inner = Obj(dom.factors[k : k + m])
+    g, c = draw(terms(inner, room - n + m, depth - 1))
+    # Each side is one Id, one Id per factor, or nothing when it is empty.
+    ids = []
+    for side in (left, right):
+        if side.factors and draw(st.booleans()):
+            ids.append([Id(_wire(draw, Obj((a,)))) for a in side.factors])
+        else:
+            ids.append([Id(_wire(draw, side))] if side.factors else [])
+    return Tensor(*ids[0], g, *ids[1]), left.tensor(c).tensor(right)
+
+
+@st.composite
+def chains(draw):
+    """A Compose chain out of a drawn object, its first term a generator
+    so that what the chain folds through is a general kernel."""
+    dom = _wide(draw, draw(st.integers(0, 2)))
+    cod = _wide(draw, draw(st.integers(0, _WIDTH)))
+    parts = [Gen("f", draw(kernels(dom=dom, cod=cod)))]
+    for _ in range(draw(st.integers(1, 4))):
+        part, cod = draw(terms(cod))
+        parts.append(part)
+    return Compose(*parts)
+
+
+@settings(max_examples=300)
+@given(chains())
+def test_evaluate_matches_a_plain_fold(term):
+    assert _result(evaluate, term) == _result(_fold, term)
+
+
+def test_evaluate_folds_whiskered_chains_at_every_offset():
+    # A partial state on three bool wires meets a partial generator, an
+    # observation, a comparator and a nested chain at every offset, with
+    # one Id per factor on the left and one Id for the rest on the right.
+    wire = obj(B, B, B)
+    f = Gen("f", state(wire, {("t", "t", "f"): Fraction(1, 3),
+                              ("f", "t", "t"): Fraction(1, 2)}))
+    partial = Gen("p", make_kernel(BO, BO, {"t": {"f": Fraction(1, 2)}}))
+    chain = Compose(Copy(BO), Swap(BO, BO), Compare(BO))
+    inner = (partial, Observe(BO, ("f",)), Compare(BO), chain)
+    for g in inner:
+        width = len(infer_type(g)[0].factors)
+        for k in range(len(wire.factors) - width + 1):
+            left = [Id(BO)] * k
+            right = [Id(Obj(wire.factors[k + width :]))]
+            whiskered = Tensor(*left, g, *right)
+            cod = infer_type(whiskered)[1]
+            term = Compose(f, whiskered, Copy(cod), Swap(cod, cod))
+            assert evaluate(term) == _fold(term)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        Compose(Copy(BO), Id(BO)),
+        Compose(Gen("coin", COIN), Copy(BO.tensor(BO))),
+        Compose(Gen("coin", COIN), Swap(BO, BO)),
+        Compose(Copy(BO), Tensor(Id(UNIT), Gen("coin", COIN), Id(BO))),
+        Compose(Copy(BO), Tensor(Discard(BO), Id(BO.tensor(BO)))),
+        Compose(Copy(BO), Tensor(Id(BO), Compose(Copy(BO), Copy(BO)))),
+    ],
+)
+def test_ill_typed_compose_raises_the_plain_fold_error(term):
+    # Without infer_type, evaluate's shortcuts raise compose's error for
+    # the kernel a plain fold would have built, byte for byte.
+    with pytest.raises(TypeMismatch) as want:
+        _fold(term)
+    with pytest.raises(TypeMismatch) as got:
+        evaluate(term)
+    assert str(got.value) == str(want.value)
+    assert str(want.value).startswith("cannot compose: first codomain")
 
 
 # -- normal form -------------------------------------------------------------

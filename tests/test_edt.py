@@ -428,3 +428,17 @@ def test_solve_evaluates_the_model_once(monkeypatch):
     table = [(v.action, v.mass, v.expected_utility) for v in pres.table]
     assert table == expected
     assert all(mass > 0 for _, mass, _ in expected)
+
+
+def test_solve_builds_no_wiring_kernel(monkeypatch):
+    # The model's Ids, its copy and its consequence (x) id_A are folded
+    # into the compositions: no structural kernel or tensor is built.
+    calls = []
+    for name in ("tensor", "identity", "copy"):
+        def counting(*args, _name=name, _original=getattr(K, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(K, name, counting)
+    edt.solve(many_action_newcomb())
+    assert calls == []

@@ -318,6 +318,94 @@ def test_compose_matches_naive_sum(pair):
             assert gcd(q.numerator, q.denominator) == 1
 
 
+@st.composite
+def whiskerings(draw):
+    """(f, g, left, right) with f's codomain left (x) g.dom (x) right."""
+    left, right = draw(objects()), draw(objects())
+    g = draw(kernels())
+    f = draw(kernels(cod=left.tensor(g.dom).tensor(right)))
+    return f, g, left, right
+
+
+A3 = Alphabet("three", ("x", "y", "z"))
+
+
+@given(whiskerings())
+@example(
+    # A partial g whose row at "z" f never reaches, between two wires.
+    (
+        make_kernel(
+            UNIT, obj(B, A3, B),
+            {(): {("t", "x", "f"): Fraction(1, 3), ("f", "y", "f"): HALF}},
+        ),
+        make_kernel(obj(A3), BO, {"x": {"t": HALF}, "z": {"f": 1}}),
+        BO,
+        BO,
+    )
+)
+@example(
+    # g with the unit as domain: a state inserted at each offset.
+    (
+        bk({"t": {"t": Fraction(1, 3), "f": HALF}, "f": {"f": 1}}),
+        make_kernel(UNIT, obj(A3), {(): {"x": Fraction(1, 4), "z": HALF}}),
+        BO,
+        UNIT,
+    )
+)
+def test_whiskered_compose_is_compose_through_the_whiskered_kernel(case):
+    f, g, left, right = case
+    whiskered = K.tensor(K.tensor(K.identity(left), g), K.identity(right))
+    assert K.compose(f, g, at=len(left.factors)) == K.compose(f, whiskered)
+    if not (left.factors or right.factors):
+        assert K.compose(f, g, at=0) == K.compose(f, g)
+
+
+@given(whiskerings(), st.data())
+def test_whiskered_compose_at_a_wrong_offset_raises_the_materialised_error(
+    case, data
+):
+    f, g, left, right = case
+    n, m = len(f.cod.factors), len(g.dom.factors)
+    at = data.draw(st.integers(0, n - m))
+    lo, hi = Obj(f.cod.factors[:at]), Obj(f.cod.factors[at + m :])
+    whiskered = K.tensor(K.tensor(K.identity(lo), g), K.identity(hi))
+    try:
+        expected = K.compose(f, whiskered)
+    except TypeMismatch as exc:
+        with pytest.raises(TypeMismatch) as err:
+            K.compose(f, g, at=at)
+        assert str(err.value) == str(exc)
+    else:
+        assert K.compose(f, g, at=at) == expected
+
+
+def test_compose_without_offset_needs_the_whole_codomain():
+    # Plain compose does not whisker: a codomain longer than g's domain
+    # is a type error, as it is for the materialised kernel.
+    f = K.copy(BO)
+    with pytest.raises(TypeMismatch) as err:
+        K.compose(f, K.identity(BO))
+    assert str(err.value) == (
+        "cannot compose: first codomain bool (x) bool != second domain bool"
+    )
+    assert K.compose(f, K.identity(BO), at=0) == f
+
+
+@pytest.mark.parametrize("at", [-1, 3, 7])
+def test_compose_at_an_offset_outside_the_codomain_raises(at):
+    # A unit-domain g fits the slicing check at any offset; the offset
+    # itself must place g.dom inside f's codomain.
+    f = K.copy(BO)
+    g = make_kernel(UNIT, BO, {(): {"t": 1}})
+    with pytest.raises(TypeMismatch) as err:
+        K.compose(f, g, at=at)
+    assert str(err.value) == (
+        f"cannot compose: offset {at} does not place domain I inside "
+        "first codomain bool (x) bool"
+    )
+    assert K.compose(f, g, at=2).cod == Obj(BO.factors * 3)
+
+
 def test_compose_prime_denominator_chain_matches_integer_product():
     n = 32
     # Primes above 7 * n, so no weight sum reaches its row's denominator.

@@ -136,8 +136,9 @@ def _infer(term: Term, path: str) -> tuple[Obj, Obj]:
 
 def observe_kernel(at: Obj, point) -> SubKernel:
     """The costate at -> I succeeding exactly on the given outcome: the
-    point dirac(at, point) bent round into an input."""
-    return K.bend(K.dirac(at, point), len(at.factors))
+    partial function x |-> () where x is the point."""
+    out = _as_outcome(point, at, "point")
+    return K.deterministic(at, UNIT, lambda x: () if x == out else None)
 
 
 def evaluate(term: Term) -> SubKernel:
@@ -158,18 +159,6 @@ def evaluate(term: Term) -> SubKernel:
     match term:
         case Gen(_, k):
             return k
-        case Id(x):
-            return K.identity(x)
-        case Copy(x):
-            return K.copy(x)
-        case Discard(x):
-            return K.discard(x)
-        case Swap(x, y):
-            return K.swap(x, y)
-        case Compare(x):
-            return K.compare(x)
-        case Observe(x, point):
-            return observe_kernel(x, point)
         case Compose(terms):
             f = evaluate(terms[0])
             for t in terms[1:]:
@@ -195,6 +184,18 @@ def evaluate(term: Term) -> SubKernel:
             return f
         case Tensor(terms):
             return reduce(K.tensor, map(evaluate, terms))
+        case Id(x):
+            return K.identity(x)
+        case Copy(x):
+            return K.copy(x)
+        case Discard(x):
+            return K.discard(x)
+        case Swap(x, y):
+            return K.swap(x, y)
+        case Compare(x):
+            return K.compare(x)
+        case Observe(x, point):
+            return observe_kernel(x, point)
     raise IllTyped(f"not a term: {term!r}")
 
 

@@ -202,12 +202,14 @@ def solve(problem: DecisionProblem) -> Prescription:
     table = []
     best: Optional[Fraction] = None
     for a in problem.actions.labels:
-        st = K.state_at(by_action, (a,))
-        mass = st.mass(())
+        # expected_utility's two sums, each once: mass is entry and divisor.
+        row = by_action.row((a,))
+        mass = sum(row.values(), Fraction(0))
         if mass == 0:
             table.append(ActionValue(a, mass, None))
             continue
-        eu = expected_utility(st, problem.utilities)
+        utility = (p * Fraction(problem.utilities[y[0]]) for y, p in row.items())
+        eu = sum(utility, Fraction(0)) / mass
         table.append(ActionValue(a, mass, eu))
         if best is None or eu > best:
             best = eu

@@ -245,13 +245,16 @@ def swap(left: Obj, right: Obj) -> SubKernel:
 
 
 def compare(at: Obj) -> SubKernel:
-    """The comparator (a, b) |-> a if a = b, failure otherwise: copy
-    bent round into an input.
+    """The comparator (a, b) |-> a if a = b, failure otherwise: the
+    partial diagonal function, copy's function read backwards.
 
     This is the partial Frobenius multiplication; it is the only
     structural map that is not total.
     """
-    return bend(deterministic(at, at.tensor(at), doubled), len(at.factors))
+    n = len(at.factors)
+    return deterministic(
+        at.tensor(at), at, lambda o: o[:n] if o[:n] == o[n:] else None
+    )
 
 
 def _row_numerators(row: Row) -> tuple[int, list[int]]:

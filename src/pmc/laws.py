@@ -3,9 +3,13 @@
 Every law is a function from a deterministic RNG to either None (the
 instance passed) or a counterexample payload, which codec.to_text
 writes, holding the generated data and both sides of the failed
-equation.  check_law
-runs a law over derived per-case seeds, so identical (law, instances,
-seed) triples produce byte-identical reports.
+equation.  check_law runs a law over derived per-case seeds, so
+identical (law, instances, seed) triples produce byte-identical reports.
+
+A law the paper states as an equation between string diagrams is one
+here: each side is a term with random kernels as Gen leaves, which _eq
+evaluates by diagram.evaluate, the one statement of what a diagram
+means.  A law about a kernel operation itself calls it directly.
 
 Randomness only ever flows through Random.random(), whose sequence is
 guaranteed stable across CPython versions; all other draws are derived
@@ -32,6 +36,7 @@ from .errors import (
     NoFeasibleAction,
     UnknownLaw,
 )
+from .diagram import Compare, Compose, Copy, Discard, Gen, Id, Observe, Swap, Tensor
 from .kernel import Alphabet, Obj, SubKernel, UNIT
 
 MAX_DENOMINATOR = 64
@@ -39,6 +44,7 @@ DEFAULT_SEED = 7
 DEFAULT_CASES = 200
 
 _LABELS = ("a", "b", "c", "d")
+Side = SubKernel | D.Term  # one side of an equation: a kernel, or a diagram
 
 
 def _stable_rng(*parts) -> Random:
@@ -184,7 +190,10 @@ def _mismatch(equation: str, **data) -> dict:
     return {"equation": equation, **{k: _as_payload(v) for k, v in data.items()}}
 
 
-def _eq(equation: str, lhs: SubKernel, rhs: SubKernel, **data) -> Optional[dict]:
+def _eq(equation: str, lhs: Side, rhs: Side, **data) -> Optional[dict]:
+    """None if the two sides are equal kernels, else the mismatch; a side
+    that is a term is evaluated by diagram.evaluate first."""
+    lhs, rhs = (s if isinstance(s, SubKernel) else D.evaluate(s) for s in (lhs, rhs))
     if lhs == rhs:
         return None
     return _mismatch(equation, lhs=lhs, rhs=rhs, **data)
@@ -256,42 +265,43 @@ def _law_category(rng: Random) -> Optional[dict]:
     f = _rand_kernel(rng, x, y)
     g = _rand_kernel(rng, y, z)
     h = _rand_kernel(rng, z, w)
+    F, G, H = Gen("f", f), Gen("g", g), Gen("h", h)
     return _first(
         _eq(
             "(f;g);h = f;(g;h)",
-            K.compose(K.compose(f, g), h),
-            K.compose(f, K.compose(g, h)),
+            Compose(Compose(F, G), H),
+            Compose(F, Compose(G, H)),
             f=f, g=g, h=h,
         ),
-        _eq("id;f = f", K.compose(K.identity(x), f), f, f=f),
-        _eq("f;id = f", K.compose(f, K.identity(y)), f, f=f),
+        _eq("id;f = f", Compose(Id(x), F), f, f=f),
+        _eq("f;id = f", Compose(F, Id(y)), f, f=f),
     )
 
 
 @law("comonoid")
 def _law_comonoid(rng: Random) -> Optional[dict]:
     x = _rand_obj(rng, 0)
-    cp, ident = K.copy(x), K.identity(x)
+    cp, ident = Copy(x), Id(x)
     return _first(
         _eq(
             "copy;(copy (x) id) = copy;(id (x) copy)",
-            K.compose(cp, K.tensor(cp, ident)),
-            K.compose(cp, K.tensor(ident, cp)),
+            Compose(cp, Tensor(cp, ident)),
+            Compose(cp, Tensor(ident, cp)),
             at=x,
         ),
         _eq(
             "copy;(discard (x) id) = id",
-            K.compose(cp, K.tensor(K.discard(x), ident)),
+            Compose(cp, Tensor(Discard(x), ident)),
             ident,
             at=x,
         ),
         _eq(
             "copy;(id (x) discard) = id",
-            K.compose(cp, K.tensor(ident, K.discard(x))),
+            Compose(cp, Tensor(ident, Discard(x))),
             ident,
             at=x,
         ),
-        _eq("copy;swap = copy", K.compose(cp, K.swap(x, x)), cp, at=x),
+        _eq("copy;swap = copy", Compose(cp, Swap(x, x)), cp, at=x),
     )
 
 
@@ -301,57 +311,57 @@ def _law_uniformity(rng: Random) -> Optional[dict]:
     x = Obj((_rand_alphabet(rng, 0),)) if rng.random() < 0.9 else UNIT
     y = Obj((_rand_alphabet(rng, 1),)) if rng.random() < 0.9 else UNIT
     xy = x.tensor(y)
-    mid_copy = K.tensor(K.identity(x), K.tensor(K.swap(x, y), K.identity(y)))
-    mid_cmp = K.tensor(K.identity(x), K.tensor(K.swap(y, x), K.identity(y)))
     return _first(
         _eq(
             "copy(X(x)Y) = (copy X (x) copy Y);(id (x) swap (x) id)",
-            K.copy(xy),
-            K.compose(K.tensor(K.copy(x), K.copy(y)), mid_copy),
+            Copy(xy),
+            Compose(Tensor(Copy(x), Copy(y)), Tensor(Id(x), Swap(x, y), Id(y))),
             at=xy,
         ),
         _eq(
             "discard(X(x)Y) = discard X (x) discard Y",
-            K.discard(xy),
-            K.tensor(K.discard(x), K.discard(y)),
+            Discard(xy),
+            Tensor(Discard(x), Discard(y)),
             at=xy,
         ),
         _eq(
             "compare(X(x)Y) = (id (x) swap (x) id);(compare X (x) compare Y)",
-            K.compare(xy),
-            K.compose(mid_cmp, K.tensor(K.compare(x), K.compare(y))),
+            Compare(xy),
+            Compose(
+                Tensor(Id(x), Swap(y, x), Id(y)), Tensor(Compare(x), Compare(y))
+            ),
             at=xy,
         ),
-        _eq("copy(I) = id(I)", K.copy(UNIT), K.identity(UNIT)),
-        _eq("compare(I) = id(I)", K.compare(UNIT), K.identity(UNIT)),
+        _eq("copy(I) = id(I)", Copy(UNIT), Id(UNIT)),
+        _eq("compare(I) = id(I)", Compare(UNIT), Id(UNIT)),
     )
 
 
 @law("frobenius")
 def _law_frobenius(rng: Random) -> Optional[dict]:
     x = _rand_obj(rng, 0, max_size=3)
-    cp, cmp_, ident = K.copy(x), K.compare(x), K.identity(x)
+    cp, cmp_, ident = Copy(x), Compare(x), Id(x)
     return _first(
         _eq(
             "(copy (x) id);(id (x) compare) = compare;copy",
-            K.compose(K.tensor(cp, ident), K.tensor(ident, cmp_)),
-            K.compose(cmp_, cp),
+            Compose(Tensor(cp, ident), Tensor(ident, cmp_)),
+            Compose(cmp_, cp),
             at=x,
         ),
         _eq(
             "(id (x) copy);(compare (x) id) = compare;copy",
-            K.compose(K.tensor(ident, cp), K.tensor(cmp_, ident)),
-            K.compose(cmp_, cp),
+            Compose(Tensor(ident, cp), Tensor(cmp_, ident)),
+            Compose(cmp_, cp),
             at=x,
         ),
-        _eq("copy;compare = id", K.compose(cp, cmp_), ident, at=x),
+        _eq("copy;compare = id", Compose(cp, cmp_), ident, at=x),
         _eq(
             "(compare (x) id);compare = (id (x) compare);compare",
-            K.compose(K.tensor(cmp_, ident), cmp_),
-            K.compose(K.tensor(ident, cmp_), cmp_),
+            Compose(Tensor(cmp_, ident), cmp_),
+            Compose(Tensor(ident, cmp_), cmp_),
             at=x,
         ),
-        _eq("swap;compare = compare", K.compose(K.swap(x, x), cmp_), cmp_, at=x),
+        _eq("swap;compare = compare", Compose(Swap(x, x), cmp_), cmp_, at=x),
     )
 
 
@@ -363,10 +373,11 @@ def _law_interchange(rng: Random) -> Optional[dict]:
     g = _rand_kernel(rng, c, d)
     h = _rand_kernel(rng, b, e)
     k = _rand_kernel(rng, d, w)
+    F, G, H, KK = Gen("f", f), Gen("g", g), Gen("h", h), Gen("k", k)
     return _eq(
         "(f (x) g);(h (x) k) = (f;h) (x) (g;k)",
-        K.compose(K.tensor(f, g), K.tensor(h, k)),
-        K.tensor(K.compose(f, h), K.compose(g, k)),
+        Compose(Tensor(F, G), Tensor(H, KK)),
+        Tensor(Compose(F, H), Compose(G, KK)),
         f=f, g=g, h=h, k=k,
     )
 
@@ -377,10 +388,11 @@ def _law_swap_naturality(rng: Random) -> Optional[dict]:
     c, d = _rand_obj(rng, 4), _rand_obj(rng, 6)
     f = _rand_kernel(rng, a, b)
     g = _rand_kernel(rng, c, d)
+    F, G = Gen("f", f), Gen("g", g)
     return _eq(
         "(f (x) g);swap = swap;(g (x) f)",
-        K.compose(K.tensor(f, g), K.swap(b, d)),
-        K.compose(K.swap(a, c), K.tensor(g, f)),
+        Compose(Tensor(F, G), Swap(b, d)),
+        Compose(Swap(a, c), Tensor(G, F)),
         f=f, g=g,
     )
 
@@ -438,7 +450,7 @@ def _law_marginal_by_discard(rng: Random) -> Optional[dict]:
     return _eq(
         "marginal(f, k) = f;(id (x) discard)",
         C.marginal(f, split),
-        K.compose(f, K.tensor(K.identity(kept), K.discard(dropped))),
+        Compose(Gen("f", f), Tensor(Id(kept), Discard(dropped))),
         f=f, split=split,
     )
 
@@ -447,12 +459,11 @@ def _law_marginal_by_discard(rng: Random) -> Optional[dict]:
 def _law_normalisation_equation(rng: Random) -> Optional[dict]:
     x = _rand_obj(rng, 0)
     f = _rand_kernel(rng, x, _rand_obj(rng, 2))
+    fails = Compose(Gen("f", f), Discard(f.cod))
     return _eq(
         "f = copy;(normalise(f) (x) (f;discard))",
         f,
-        K.compose(
-            K.copy(x), K.tensor(C.normalise(f), K.failure_probability(f))
-        ),
+        Compose(Copy(x), Tensor(Gen("normalise(f)", C.normalise(f)), fails)),
         f=f,
     )
 
@@ -492,17 +503,11 @@ def _law_bayes_inversion(rng: Random) -> Optional[dict]:
     prior = _rand_kernel(rng, UNIT, x)
     channel = _rand_kernel(rng, x, y)
     inv = C.bayes_invert(channel, prior)
-    lhs = K.compose(
-        K.compose(prior, K.copy(x)), K.tensor(K.identity(x), channel)
-    )
-    push = K.compose(prior, channel)
-    rhs = K.compose(
-        K.compose(push, K.copy(y)), K.tensor(inv, K.identity(y))
-    )
+    P, Ch = Gen("prior", prior), Gen("channel", channel)
     return _eq(
         "prior;copy;(id (x) c) = prior;c;copy;(inv (x) id)",
-        lhs,
-        rhs,
+        Compose(P, Copy(x), Tensor(Id(x), Ch)),
+        Compose(P, Ch, Copy(y), Tensor(Gen("inversion", inv), Id(y))),
         prior=prior, channel=channel, inversion=inv,
     )
 
@@ -515,17 +520,14 @@ def _law_compositional_inversion(rng: Random) -> Optional[dict]:
     prior = _rand_kernel(rng, UNIT, x)
     c = _rand_kernel(rng, x, y)
     d = _rand_kernel(rng, y, z)
-    cd = K.compose(c, d)
     # Composite candidate inverse: invert d against the pushed prior,
     # then invert c against the original prior.
     h = K.compose(C.bayes_invert(d, K.compose(prior, c)), C.bayes_invert(c, prior))
-    lhs = K.compose(K.compose(prior, K.copy(x)), K.tensor(K.identity(x), cd))
-    push = K.compose(prior, cd)
-    rhs = K.compose(K.compose(push, K.copy(z)), K.tensor(h, K.identity(z)))
+    P, cd = Gen("prior", prior), Compose(Gen("c", c), Gen("d", d))
     return _eq(
         "inversion of c;d factors as inversion(d);inversion(c)",
-        lhs,
-        rhs,
+        Compose(P, Copy(x), Tensor(Id(x), cd)),
+        Compose(P, cd, Copy(z), Tensor(Gen("composite_inverse", h), Id(z))),
         prior=prior, c=c, d=d, composite_inverse=h,
     )
 
@@ -537,21 +539,13 @@ def _law_synthetic_bayes(rng: Random) -> Optional[dict]:
     prior = _rand_kernel(rng, UNIT, x)
     channel = _rand_kernel(rng, x, y)
     point = _rand_point(rng, y)
-    term = D.Compose(
-        D.Gen("prior", prior),
-        D.Copy(x),
-        D.Tensor(
-            D.Id(x), D.Compose(D.Gen("channel", channel), D.Observe(y, point))
-        ),
-    )
-    constrained = D.evaluate(term)
+    observed = Compose(Gen("channel", channel), Observe(y, point))
     scalar = K.compose(prior, channel).prob((), point)
     inv_row = K.state_at(C.bayes_invert(channel, prior), point)
-    expected = K.tensor(K.state(UNIT, {(): scalar}), inv_row)
     return _eq(
         "constrained state = scalar * inversion row",
-        constrained,
-        expected,
+        Compose(Gen("prior", prior), Copy(x), Tensor(Id(x), observed)),
+        K.tensor(K.state(UNIT, {(): scalar}), inv_row),
         prior=prior, channel=channel, point=point, scalar=scalar,
     )
 
@@ -614,23 +608,23 @@ def _law_predicate_diagram(rng: Random) -> Optional[dict]:
     x, y = _rand_obj(rng, 0), _rand_obj(rng, 2)
     f = _rand_kernel(rng, x, y)
     for g in (f, C.normalise(f), _rand_kernel(rng, x, y, total=True)):
-        total_eq = K.failure_probability(g) == K.discard(g.dom)
+        G = Gen("f", g)
+        fails = Compose(G, Discard(g.cod))
+        total_eq = D.evaluate(fails) == D.evaluate(Discard(g.dom))
         if K.is_total(g) != total_eq:
             return _mismatch(
                 "is_total agrees with f;discard = discard",
                 kernel=g, predicate=K.is_total(g), diagram=total_eq,
             )
-        det_eq = K.compose(g, K.copy(g.cod)) == K.compose(
-            K.copy(g.dom), K.tensor(g, g)
+        det_eq = D.evaluate(Compose(G, Copy(g.cod))) == D.evaluate(
+            Compose(Copy(g.dom), Tensor(G, G))
         )
         if K.is_deterministic(g) != det_eq:
             return _mismatch(
                 "is_deterministic agrees with f;copy = copy;(f (x) f)",
                 kernel=g, predicate=K.is_deterministic(g), diagram=det_eq,
             )
-        qt_eq = g == K.compose(
-            K.copy(g.dom), K.tensor(g, K.failure_probability(g))
-        )
+        qt_eq = g == D.evaluate(Compose(Copy(g.dom), Tensor(G, fails)))
         if K.is_quasi_total(g) != qt_eq:
             return _mismatch(
                 "is_quasi_total agrees with copy;(f (x) (f;discard)) = f",
@@ -644,10 +638,11 @@ def _law_deterministic_copyable(rng: Random) -> Optional[dict]:
     x, y = _rand_obj(rng, 0), _rand_obj(rng, 2)
     for partial in (False, True):
         f = _rand_deterministic(rng, x, y, partial=partial)
+        F = Gen("f", f)
         result = _eq(
             "f;copy = copy;(f (x) f) for deterministic f",
-            K.compose(f, K.copy(y)),
-            K.compose(K.copy(x), K.tensor(f, f)),
+            Compose(F, Copy(y)),
+            Compose(Copy(x), Tensor(F, F)),
             f=f,
         )
         if result is not None:
@@ -664,8 +659,8 @@ def _law_observe_axiom(rng: Random) -> Optional[dict]:
     point = _rand_point(rng, y)
     hit = _eq(
         "dirac(y);observe(y) = id(I)",
-        K.compose(K.dirac(y, point), D.observe_kernel(y, point)),
-        K.identity(UNIT),
+        Compose(Gen("dirac", K.dirac(y, point)), Observe(y, point)),
+        Id(UNIT),
         at=y, point=point,
     )
     if hit is not None:
@@ -674,7 +669,7 @@ def _law_observe_axiom(rng: Random) -> Optional[dict]:
         other = next(o for o in y.outcomes() if o != point)
         return _eq(
             "dirac(z);observe(y) = 0 for z != y",
-            K.compose(K.dirac(y, other), D.observe_kernel(y, point)),
+            Compose(Gen("dirac", K.dirac(y, other)), Observe(y, point)),
             K.state(UNIT, {}),
             at=y, point=point, other=other,
         )
@@ -685,7 +680,7 @@ def _law_observe_axiom(rng: Random) -> Optional[dict]:
 def _law_embedding_faithfulness(rng: Random) -> Optional[dict]:
     y = _rand_obj(rng, 0)
     point = _rand_point(rng, y)
-    direct = D.evaluate(D.Observe(y, point))
+    direct = D.evaluate(Observe(y, point))
     encoded = D.evaluate(D.observe_as_comparator(y, point))
     result = _eq(
         "observe = (id (x) point);compare;discard",
@@ -697,7 +692,7 @@ def _law_embedding_faithfulness(rng: Random) -> Optional[dict]:
         return result
     if y.size > 1:
         other = next(o for o in y.outcomes() if o != point)
-        if D.evaluate(D.Observe(y, other)) == direct:
+        if D.evaluate(Observe(y, other)) == direct:
             return _mismatch(
                 "distinct points give distinct observations",
                 at=y, point=point, other=other,
@@ -733,18 +728,18 @@ def _rand_leaf(rng: Random, dom: Obj, pool, counter) -> tuple[D.Term, Obj]:
         cod = _pool_obj(rng, pool, max_width=2)
         counter[0] += 1
         k = _rand_kernel(rng, dom, cod, total=True)
-        return D.Gen(f"g{counter[0]}", k), cod
+        return Gen(f"g{counter[0]}", k), cod
     if choice == "id":
-        return D.Id(dom), dom
+        return Id(dom), dom
     if choice == "discard":
-        return D.Discard(dom), UNIT
+        return Discard(dom), UNIT
     if choice == "observe":
-        return D.Observe(dom, _rand_point(rng, dom)), UNIT
+        return Observe(dom, _rand_point(rng, dom)), UNIT
     if choice == "copy":
-        return D.Copy(dom), dom.tensor(dom)
+        return Copy(dom), dom.tensor(dom)
     split = _rand_int(rng, 1, len(dom.factors) - 1)
     left, right = Obj(dom.factors[:split]), Obj(dom.factors[split:])
-    return D.Swap(left, right), right.tensor(left)
+    return Swap(left, right), right.tensor(left)
 
 
 def _rand_term(
@@ -758,7 +753,7 @@ def _rand_term(
     if r < 0.45:
         first, mid = _rand_term(rng, depth - 1, dom, pool, counter)
         second, cod = _rand_term(rng, depth - 1, mid, pool, counter)
-        return D.Compose(first, second), cod
+        return Compose(first, second), cod
     if r < 0.7 and len(dom.factors) >= 1:
         split = _rand_int(rng, 0, len(dom.factors))
         left, cl = _rand_term(
@@ -768,7 +763,7 @@ def _rand_term(
             rng, depth - 1, Obj(dom.factors[split:]), pool, counter
         )
         if len(cl.factors) + len(cr.factors) <= 3:
-            return D.Tensor(left, right), cl.tensor(cr)
+            return Tensor(left, right), cl.tensor(cr)
     return _rand_leaf(rng, dom, pool, counter)
 
 
@@ -840,10 +835,8 @@ def observed_action_state(
     """The paper's construction of an action's utility state: the
     conditioned model `joint` : I -> U (x) A of `problem` composed with
     id_U (x) observe(action)."""
-    constrain = D.Tensor(
-        D.Id(problem.utility_obj), D.Observe(problem.action_obj, (action,))
-    )
-    return K.compose(joint, D.evaluate(constrain))
+    constrain = Tensor(Id(problem.utility_obj), Observe(problem.action_obj, (action,)))
+    return D.evaluate(Compose(Gen("model", joint), constrain))
 
 
 @law("solver-observe-agreement")

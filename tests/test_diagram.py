@@ -257,6 +257,8 @@ def test_evaluate_folds_whiskered_chains_at_every_offset():
     # A partial state on three bool wires meets a partial generator, an
     # observation, a comparator and a nested chain at every offset, with
     # one Id per factor on the left and one Id for the rest on the right.
+    # The swap of the first wire past the rest has unequal sides, so a
+    # fold that swaps by the wrong side's width gives a different kernel.
     wire = obj(B, B, B)
     f = Gen("f", state(wire, {("t", "t", "f"): Fraction(1, 3),
                               ("f", "t", "t"): Fraction(1, 2)}))
@@ -270,7 +272,8 @@ def test_evaluate_folds_whiskered_chains_at_every_offset():
             right = [Id(Obj(wire.factors[k + width :]))]
             whiskered = Tensor(*left, g, *right)
             cod = infer_type(whiskered)[1]
-            term = Compose(f, whiskered, Copy(cod), Swap(cod, cod))
+            first, rest = Obj(cod.factors[:1]), Obj(cod.factors[1:])
+            term = Compose(f, whiskered, Swap(first, rest), Copy(cod), Swap(cod, cod))
             assert evaluate(term) == _fold(term)
 
 

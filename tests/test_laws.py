@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from pmc import codec
+from pmc import diagram as D
 from pmc import edt
 from pmc import kernel as K
 from pmc import laws
@@ -200,6 +202,26 @@ def test_mutated_compare_breaks_frobenius(monkeypatch):
     lhs = codec.kernel_from_json(cx["lhs"])
     rhs = codec.kernel_from_json(cx["rhs"])
     assert lhs != rhs
+
+
+def test_lossy_relabel_in_evaluate_breaks_the_structural_laws(monkeypatch):
+    # evaluate folds a Copy or Swap in a chain by relabelling the kernel
+    # built so far.  Break that relabel alone: the laws whose diagrams
+    # fold one fail.
+    def lossy_relabel(f, fn, cod):
+        k = K.relabel(f, fn, cod)
+        return K.SubKernel(
+            k.dom, k.cod, {x: dict(list(r.items())[:-1]) for x, r in k.rows.items()}
+        )
+
+    lossy = SimpleNamespace(**{**vars(K), "relabel": lossy_relabel})
+    monkeypatch.setattr(D, "K", lossy)
+    comonoid = laws.check_law("comonoid", 20, 7)
+    assert comonoid.failures == 20
+    assert comonoid.counterexample["equation"] == "copy;swap = copy"
+    assert laws.check_law("swap-naturality", 20, 7).failures > 0
+    # Kernel operations called directly do not reach evaluate.
+    assert laws.check_law("splitting", 20, 7).failures == 0
 
 
 def test_random_cproc_term_deterministic():

@@ -24,7 +24,7 @@ from functools import reduce
 
 from . import kernel as K
 from .errors import IllTyped, NonTotalGenerator
-from .kernel import Alphabet, Obj, Outcome, SubKernel, UNIT, _as_outcome
+from .kernel import Alphabet, Obj, Outcome, PartialFn, SubKernel, UNIT, _as_outcome
 
 
 @dataclass(frozen=True)
@@ -100,22 +100,32 @@ def infer_type(term: Term) -> tuple[Obj, Obj]:
     return _infer(term, "t")
 
 
+def _wiring(term: Term) -> tuple[Obj, Obj, PartialFn] | None:
+    """(dom, cod, fn) of a wiring node, fn its partial function, or None
+    for a generator, Compose or Tensor.  Only the comparator (the partial
+    Frobenius multiplication) and an observation are partial."""
+    match term:
+        case Id(x):
+            return x, x, lambda a: a
+        case Copy(x):
+            return x, x.tensor(x), lambda a: a + a
+        case Discard(x):
+            return x, UNIT, lambda a: ()
+        case Swap(x, y):
+            n = len(x.factors)
+            return x.tensor(y), y.tensor(x), lambda o: o[n:] + o[:n]
+        case Compare(x):
+            n = len(x.factors)
+            return x.tensor(x), x, lambda o: o[:n] if o[:n] == o[n:] else None
+        case Observe(x, point):
+            return x, UNIT, lambda a: () if a == point else None
+    return None
+
+
 def _infer(term: Term, path: str) -> tuple[Obj, Obj]:
     match term:
         case Gen(_, k):
             return k.dom, k.cod
-        case Id(x):
-            return x, x
-        case Copy(x):
-            return x, x.tensor(x)
-        case Discard(x):
-            return x, UNIT
-        case Swap(x, y):
-            return x.tensor(y), y.tensor(x)
-        case Compare(x):
-            return x.tensor(x), x
-        case Observe(x, _):
-            return x, UNIT
         case Compose(terms):
             dom, cod = _infer(terms[0], path + ".terms[0]")
             for i in range(1, len(terms)):
@@ -131,72 +141,71 @@ def _infer(term: Term, path: str) -> tuple[Obj, Obj]:
                 d, c = _infer(t, f"{path}.terms[{i}]")
                 dom, cod = dom.tensor(d), cod.tensor(c)
             return dom, cod
-    raise IllTyped(f"at {path}: not a term: {term!r}")
+    w = _wiring(term)
+    if w is None:
+        raise IllTyped(f"at {path}: not a term: {term!r}")
+    return w[0], w[1]
 
 
 def observe_kernel(at: Obj, point) -> SubKernel:
     """The costate at -> I succeeding exactly on the given outcome: the
     partial function x |-> () where x is the point."""
-    out = _as_outcome(point, at, "point")
-    return K.deterministic(at, UNIT, lambda x: () if x == out else None)
+    return K.deterministic(*_wiring(Observe(at, point)))
 
 
 def evaluate(term: Term) -> SubKernel:
-    """Interpret a well-typed term as a kernel.
-
-    A Compose folds left to right: each later term acts on the kernel f
-    built so far.  An Id leaves f as it is, and a Copy or Swap moves
-    f's outputs by its function (kernel.relabel).  A Tensor of Ids
-    around one other term g is f ; (id_L (x) g (x) id_R), computed as
-    kernel.compose(f, evaluate(g), at=len(L)).  None of these becomes a
-    kernel of its own, and no |L|- or |R|-sized identity is multiplied
-    through.  Every other term (Discard, Observe, Compare, a generator,
-    any other Tensor or Compose) is evaluated and composed with f.  A
-    term whose domain is not f's codomain raises the TypeMismatch that
-    composing with its kernel would.  A Tensor outside a composition
-    chain is the product of its terms' kernels.
-    """
+    """Interpret a well-typed term as a kernel: a wiring node as the
+    kernel of its partial function, a Tensor as the product of its
+    terms' kernels, and a Compose as a left fold (see _then) in which no
+    wiring becomes a kernel of its own."""
     match term:
         case Gen(_, k):
             return k
         case Compose(terms):
-            f = evaluate(terms[0])
-            for t in terms[1:]:
-                match t:
-                    case Id(x):
-                        K.require_composable(f.cod, x)
-                    case Copy(x):
-                        K.require_composable(f.cod, x)
-                        f = K.relabel(f, lambda _, y: K.doubled(y), x.tensor(x))
-                    case Swap(x, y):
-                        K.require_composable(f.cod, x.tensor(y))
-                        fn = K.swapped(x)
-                        f = K.relabel(f, lambda _, o: fn(o), y.tensor(x))
-                    case Tensor(ts) if sum(type(c) is not Id for c in ts) == 1:
-                        i = next(i for i, c in enumerate(ts) if type(c) is not Id)
-                        g = evaluate(ts[i])
-                        left = reduce(Obj.tensor, (c.obj for c in ts[:i]), UNIT)
-                        right = reduce(Obj.tensor, (c.obj for c in ts[i + 1 :]), UNIT)
-                        K.require_composable(f.cod, left.tensor(g.dom).tensor(right))
-                        f = K.compose(f, g, at=len(left.factors))
-                    case _:
-                        f = K.compose(f, evaluate(t))
-            return f
+            return reduce(_then, terms[1:], evaluate(terms[0]))
         case Tensor(terms):
             return reduce(K.tensor, map(evaluate, terms))
-        case Id(x):
-            return K.identity(x)
-        case Copy(x):
-            return K.copy(x)
-        case Discard(x):
-            return K.discard(x)
-        case Swap(x, y):
-            return K.swap(x, y)
-        case Compare(x):
-            return K.compare(x)
-        case Observe(x, point):
-            return observe_kernel(x, point)
-    raise IllTyped(f"not a term: {term!r}")
+    w = _wiring(term)
+    if w is None:
+        raise IllTyped(f"not a term: {term!r}")
+    return K.deterministic(*w)
+
+
+def _then(f: SubKernel, t: Term) -> SubKernel:
+    """f ; t, for a term t of a composition chain.  A bare Id is a type
+    check only.  Otherwise t is id_L (x) g (x) id_R: a Tensor of Ids
+    around one other term g, or g = t with L and R the unit.  A wiring g
+    moves each output y of f by its function on the slice of y it reads
+    (kernel.relabel), dropping the entry where that is undefined; any
+    other g is evaluated and composed with f, at offset |L| when t is a
+    Tensor.  No |L|- or |R|-sized identity is built, and a t whose
+    domain is not f's codomain raises the TypeMismatch that composing
+    with its kernel would."""
+    if type(t) is Id:
+        K.require_composable(f.cod, t.obj)
+        return f
+    left = right = UNIT
+    g = t
+    if type(t) is Tensor and sum(type(c) is not Id for c in t.terms) == 1:
+        i = next(i for i, c in enumerate(t.terms) if type(c) is not Id)
+        g = t.terms[i]
+        left = reduce(Obj.tensor, (c.obj for c in t.terms[:i]), UNIT)
+        right = reduce(Obj.tensor, (c.obj for c in t.terms[i + 1 :]), UNIT)
+    w = _wiring(g)
+    if w is None:
+        k = evaluate(g)
+        K.require_composable(f.cod, left.tensor(k.dom).tensor(right))
+        return K.compose(f, k, at=None if g is t else len(left.factors))
+    dom, cod, fn = w
+    K.require_composable(f.cod, left.tensor(dom).tensor(right))
+    i = len(left.factors)
+    j = i + len(dom.factors)
+
+    def moved(_: Outcome, y: Outcome) -> Outcome | None:
+        z = fn(y[i:j])
+        return None if z is None else y[:i] + z + y[j:]
+
+    return K.relabel(f, moved, left.tensor(cod).tensor(right))
 
 
 def observe_as_comparator(at: Obj, point) -> Term:
@@ -232,14 +241,6 @@ class NormalForm:
             raise NonTotalGenerator("normal form parts must be total")
 
 
-def _const_yes(dom: Obj) -> SubKernel:
-    return K.deterministic(dom, BOOL_OBJ, lambda x: YES)
-
-
-def _indicator(at: Obj, point: Outcome) -> SubKernel:
-    return K.deterministic(at, BOOL_OBJ, lambda x: YES if x == point else NO)
-
-
 def _and(x: Outcome, y: Outcome) -> Outcome:
     """Boolean conjunction, as a relabelling of bool (x) bool."""
     return YES if y == YES + YES else NO
@@ -264,19 +265,21 @@ def _nf(term: Term) -> Parts:
         case Gen(name, k):
             if not K.is_total(k):
                 raise NonTotalGenerator(f"generator {name!r} is not total")
-            return k, _const_yes(k.dom)
-        case Id() | Copy() | Discard() | Swap():
-            k = evaluate(term)
-            return k, _const_yes(k.dom)
+            return k, K.deterministic(k.dom, BOOL_OBJ, lambda x: YES)
         case Compare(_):
             raise NonTotalGenerator("comparator is not a constrained process")
-        case Observe(x, point):
-            return K.discard(x), _indicator(x, point)
         case Tensor(terms):
             return reduce(_nf_tensor, map(_nf, terms))
         case Compose(terms):
             return reduce(_nf_compose, map(_nf, terms))
-    raise IllTyped(f"not a term: {term!r}")
+    # infer_type has run, so every other term is wiring.  h says where
+    # its function is defined; Observe, the one partial node left, has
+    # discard for its outcome part.
+    w = _wiring(term)
+    h = K.deterministic(w[0], BOOL_OBJ, lambda a: NO if w[2](a) is None else YES)
+    if type(term) is Observe:
+        return K.discard(term.obj), h
+    return K.deterministic(*w), h
 
 
 def _nf_tensor(left: Parts, right: Parts) -> Parts:
@@ -300,8 +303,8 @@ def _nf_compose(first: Parts, second: Parts) -> Parts:
     uniform = K.state(cod, dict.fromkeys(cod.outcomes(), Fraction(1, cod.size)))
     through = K.compose(g1, _denote(g2, h2))
     g = K.fill(K.normalise(through), uniform)
-    both = K.tensor(K.identity(BOOL_OBJ), K.compose(g1, h2))
-    h = K.relabel(K.compose(K.graph(h1), both), _and, BOOL_OBJ)
+    both = K.compose(K.graph(h1), K.compose(g1, h2), at=1)
+    h = K.relabel(both, _and, BOOL_OBJ)
     return g, h
 
 

@@ -12,9 +12,7 @@ order and sums each row keyed by those numbers; make_kernel checks each
 distinct output tuple against the codomain once per call.  compose also
 whiskers: compose(f, g, at=k) is f ; (id (x) g (x) id) with g reading
 the codomain factors of f from the k-th on, and no identity kernel is
-built or multiplied through.  The functions of copy and swap (doubled,
-swapped) are stated once, here, for their kernels and for callers that
-move outputs with relabel instead.
+built or multiplied through.
 
 This module is the only one that reads or builds rows.  The rest of
 the package works through compose, tensor, deterministic (the kernel of
@@ -47,6 +45,7 @@ from .errors import (
 Outcome = tuple[str, ...]
 Row = dict[Outcome, Fraction]
 IntRow = tuple[int, list[tuple[int, int]]]
+PartialFn = Callable[[Outcome], Optional[Outcome]]  # None where undefined
 
 
 @dataclass(frozen=True)
@@ -195,9 +194,7 @@ def state(cod: Obj, dist: Mapping) -> SubKernel:
 ONE = Fraction(1)  # every deterministic entry: one shared, immutable value
 
 
-def deterministic(
-    dom: Obj, cod: Obj, fn: Callable[[Outcome], Optional[Outcome]]
-) -> SubKernel:
+def deterministic(dom: Obj, cod: Obj, fn: PartialFn) -> SubKernel:
     """The kernel of the partial function fn : dom -> cod.  Input x gets
     the row {fn(x): 1}, or no row where fn(x) is None; fn is called once
     per input, in dom.outcomes() order, and is trusted to return
@@ -220,20 +217,9 @@ def identity(at: Obj) -> SubKernel:
     return deterministic(at, at, lambda a: a)
 
 
-def doubled(a: Outcome) -> Outcome:
-    """copy's function: a |-> (a, a), flattened."""
-    return a + a
-
-
-def swapped(left: Obj) -> Callable[[Outcome], Outcome]:
-    """swap(left, right)'s function: (l, r) |-> (r, l)."""
-    n = len(left.factors)
-    return lambda o: o[n:] + o[:n]
-
-
 def copy(at: Obj) -> SubKernel:
     """a |-> (a, a), flattened; on the unit object this is the identity."""
-    return deterministic(at, at.tensor(at), doubled)
+    return deterministic(at, at.tensor(at), lambda a: a + a)
 
 
 def discard(at: Obj) -> SubKernel:
@@ -241,7 +227,10 @@ def discard(at: Obj) -> SubKernel:
 
 
 def swap(left: Obj, right: Obj) -> SubKernel:
-    return deterministic(left.tensor(right), right.tensor(left), swapped(left))
+    n = len(left.factors)
+    return deterministic(
+        left.tensor(right), right.tensor(left), lambda o: o[n:] + o[:n]
+    )
 
 
 def compare(at: Obj) -> SubKernel:
@@ -405,18 +394,21 @@ def normalise(f: SubKernel) -> SubKernel:
 
 
 def relabel(
-    f: SubKernel, fn: Callable[[Outcome, Outcome], Outcome], cod: Obj
+    f: SubKernel, fn: Callable[[Outcome, Outcome], Optional[Outcome]], cod: Obj
 ) -> SubKernel:
-    """f followed by the deterministic map (x, y) |-> fn(x, y) into cod:
-    the entry at (x, y) moves to output fn(x, y) of row x, and entries
-    landing on one output are summed."""
+    """f followed by the partial deterministic map (x, y) |-> fn(x, y)
+    into cod: the entry at (x, y) moves to output fn(x, y) of row x, or
+    is dropped where fn(x, y) is None.  Entries landing on one output
+    are summed, and a row left with no entry is not stored."""
     rows: dict[Outcome, Row] = {}
     for x, row in f.rows.items():
         acc: Row = {}
         for y, p in row.items():
             z = fn(x, y)
-            acc[z] = acc[z] + p if z in acc else p
-        rows[x] = acc
+            if z is not None:
+                acc[z] = acc[z] + p if z in acc else p
+        if acc:
+            rows[x] = acc
     return SubKernel(f.dom, cod, rows)
 
 

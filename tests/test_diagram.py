@@ -87,11 +87,19 @@ def test_observe_validates_point():
 
 
 def test_evaluate_structural_matches_kernel_module():
-    assert evaluate(Id(BO)) == K.identity(BO)
-    assert evaluate(Copy(BO)) == K.copy(BO)
-    assert evaluate(Discard(BO)) == K.discard(BO)
-    assert evaluate(Compare(BO)) == K.compare(BO)
-    assert evaluate(Swap(BO, BO)) == K.swap(BO, BO)
+    # The unit object, one factor, and two factors of unequal sizes; a
+    # swap of x past BO has unequal sides unless x is BO.
+    for x in (UNIT, BO, obj(B, Alphabet("three", ("x", "y", "z")))):
+        assert evaluate(Id(x)) == K.identity(x)
+        assert evaluate(Copy(x)) == K.copy(x)
+        assert evaluate(Discard(x)) == K.discard(x)
+        assert evaluate(Compare(x)) == K.compare(x)
+        assert evaluate(Swap(x, BO)) == K.swap(x, BO)
+        assert evaluate(Swap(BO, x)) == K.swap(BO, x)
+        for point in x.outcomes():
+            table = {point: {(): 1}}
+            assert evaluate(Observe(x, point)) == make_kernel(x, UNIT, table)
+            assert observe_kernel(x, point) == make_kernel(x, UNIT, table)
 
 
 def test_evaluate_observe_restricts_to_point():
@@ -109,8 +117,10 @@ def test_coin_observe_scalar():
 
 
 def _fold(term):
-    """The reference semantics: each leaf is its kernel constructor's
-    kernel, each Compose a left fold of K.compose, each Tensor of K.tensor."""
+    """The reference semantics, sharing no helper with evaluate: each
+    structural leaf is its kernel constructor's kernel, an observation
+    the one-entry table at its point, each Compose a left fold of
+    K.compose, each Tensor of K.tensor."""
     match term:
         case Gen(_, k):
             return k
@@ -125,7 +135,7 @@ def _fold(term):
         case Compare(x):
             return K.compare(x)
         case Observe(x, point):
-            return observe_kernel(x, point)
+            return make_kernel(x, UNIT, {point: {(): 1}})
         case Compose(terms):
             return reduce(K.compose, map(_fold, terms))
         case Tensor(terms):
@@ -275,6 +285,27 @@ def test_evaluate_folds_whiskered_chains_at_every_offset():
             first, rest = Obj(cod.factors[:1]), Obj(cod.factors[1:])
             term = Compose(f, whiskered, Swap(first, rest), Copy(cod), Swap(cod, cod))
             assert evaluate(term) == _fold(term)
+
+
+def test_evaluate_folds_wiring_steps_without_compose(monkeypatch):
+    # Bare and whiskered comparators, observations and discards move the
+    # outputs of the kernel before them; none is composed with it.
+    f = Gen("f", state(obj(B, B, B), {("t", "t", "t"): Fraction(1, 3),
+                                      ("f", "t", "t"): Fraction(1, 2)}))
+    t = ("t",)
+    term = Compose(
+        f, Tensor(Id(BO), Compare(BO)), Compare(BO), Copy(BO),
+        Tensor(Observe(BO, t), Id(BO)), Copy(BO), Tensor(Id(BO), Discard(BO)),
+        Id(BO), Observe(BO, t), Discard(UNIT),
+    )
+    want = _fold(term)
+    assert want.prob((), ()) == Fraction(1, 3)
+
+    def compose(*args, **kwargs):
+        raise AssertionError("a wiring step was composed")
+
+    monkeypatch.setattr(K, "compose", compose)
+    assert evaluate(term) == want
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,10 @@
 scripts/newcomb_noise_sweep.py and the random kernel generators.
 
 Every file under tests/golden/ except the eval inputs (*_env.json,
-dense_chain.json, wide_tensor.json, unit_cod.json, all_fail.json) is
-an output, pinned so that a change to parsing, arithmetic or emission
-cannot alter a byte unnoticed.  Regenerating one is a deliberate act:
+dense_chain.json, wide_tensor.json, unit_cod.json, all_fail.json,
+partial_chain.json) is an output, pinned so that a change to parsing,
+arithmetic or emission cannot alter a byte unnoticed.  Regenerating one
+is a deliberate act:
 
     pmc laws --cases 50 --seed 7 [--format json]  > laws_50_seed7.{txt,json}
     python scripts/solve_corpus.py [--format json] > solve_corpus.{tsv,json}
@@ -15,11 +16,13 @@ cannot alter a byte unnoticed.  Regenerating one is a deliberate act:
     pmc eval wide_tensor.json --env wide_env.json > wide_tensor.out.json
     pmc eval unit_cod.json --env unit_env.json > unit_cod.out.json
     pmc eval all_fail.json --env unit_env.json > all_fail.out.json
+    pmc eval partial_chain.json --env partial_env.json > partial_chain.out.json
     pmc corpus newcomb > corpus_newcomb.json
 
 After dense_chain they cover a tensor of wiring and a unit-domain
 generator, a unit codomain with labels json escapes, a kernel that
-always fails, and kernels nested in a problem.
+always fails, a partial generator followed by comparators, observations
+and discards, bare and between Ids, and kernels nested in a problem.
 
 and random_kernels.txt is the text random_kernels_text() below returns.
 """
@@ -71,6 +74,16 @@ def _script_main(name):
             )
         ),
         (["corpus", "newcomb"], "corpus_newcomb.json"),
+        # Last, so that the parameter ids above keep their numbers.
+        (
+            [
+                "eval",
+                str(GOLDEN / "partial_chain.json"),
+                "--env",
+                str(GOLDEN / "partial_env.json"),
+            ],
+            "partial_chain.out.json",
+        ),
     ],
 )
 def test_cli_output_matches_golden(argv, golden, capsys):

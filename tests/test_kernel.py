@@ -512,6 +512,18 @@ def test_relabel_by_output_is_composing_with_a_deterministic_map(case):
     assert K.relabel(f, lambda x, y: fn[y], cod) == K.compose(f, det)
 
 
+def test_relabel_by_a_partial_map_drops_undefined_entries():
+    # Row t keeps two entries that merge on one output and loses a third;
+    # row f loses its only entry, so no row is stored for it.
+    three = obj(Alphabet("three", ("x", "y", "z")))
+    f = make_kernel(BO, three, {
+        "t": {"x": Fraction(1, 3), "y": Fraction(1, 6), "z": Fraction(1, 4)},
+        "f": {"z": HALF},
+    })
+    g = K.relabel(f, lambda x, y: None if y == ("z",) else ("t",), BO)
+    assert g == make_kernel(BO, BO, {"t": {"t": HALF}})
+
+
 @given(kernels(), st.data())
 def test_bend_moves_the_first_factors_to_the_input(f, data):
     split = data.draw(st.integers(0, len(f.cod.factors)))

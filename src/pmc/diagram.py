@@ -7,13 +7,13 @@ node holding terms (a, b, c), with no bracketing to choose.  A subterm's
 path is "t" followed by ".terms[i]" per level, as the codec's JSON paths
 are "diagram" followed by the same steps, so an IllTyped message names
 its place in the document.  evaluate interprets any well-typed term as
-a subdistribution kernel; wiring inside a composition chain is folded
-into the kernel built so far instead of being built itself (see
-evaluate).  normal_form factors a term built from total
-generators and observations into a pair (g, h): a total kernel g giving
-the outcome distribution where the term can succeed, and a total
-Boolean kernel h giving the success probability, so that the term's
-semantics is pointwise g * h(yes).
+a subdistribution kernel; a composition chain's steps are folded into
+the kernel built so far one Tensor term at a time, and no step's wiring
+or tensor product is built (see _then).  normal_form factors a term
+built from total generators and observations into a pair (g, h): a
+total kernel g giving the outcome distribution where the term can
+succeed, and a total Boolean kernel h giving the success probability,
+so that the term's semantics is pointwise g * h(yes).
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def evaluate(term: Term) -> SubKernel:
     """Interpret a well-typed term as a kernel: a wiring node as the
     kernel of its partial function, a Tensor as the product of its
     terms' kernels, and a Compose as a left fold (see _then) in which no
-    wiring becomes a kernel of its own."""
+    step becomes a wiring kernel or a tensor product of its own."""
     match term:
         case Gen(_, k):
             return k
@@ -172,40 +172,40 @@ def evaluate(term: Term) -> SubKernel:
 
 
 def _then(f: SubKernel, t: Term) -> SubKernel:
-    """f ; t, for a term t of a composition chain.  A bare Id is a type
-    check only.  Otherwise t is id_L (x) g (x) id_R: a Tensor of Ids
-    around one other term g, or g = t with L and R the unit.  A wiring g
-    moves each output y of f by its function on the slice of y it reads
+    """f ; t, for a term t of a composition chain.  By interchange,
+    f ; (t1 (x) t2) = f ; (t1 (x) id) ; (id (x) t2), so each term of t
+    (nested Tensors opened; t itself if it is no Tensor) acts in turn on
+    the slice of f's codomain it reads, and the slice's offset then
+    advances by the term's codomain width.  An Id is a type check only;
+    a wiring node moves each output of f by its function on the slice
     (kernel.relabel), dropping the entry where that is undefined; any
-    other g is evaluated and composed with f, at offset |L| when t is a
-    Tensor.  No |L|- or |R|-sized identity is built, and a t whose
-    domain is not f's codomain raises the TypeMismatch that composing
-    with its kernel would."""
-    if type(t) is Id:
-        K.require_composable(f.cod, t.obj)
-        return f
-    left = right = UNIT
-    g = t
-    if type(t) is Tensor and sum(type(c) is not Id for c in t.terms) == 1:
-        i = next(i for i, c in enumerate(t.terms) if type(c) is not Id)
-        g = t.terms[i]
-        left = reduce(Obj.tensor, (c.obj for c in t.terms[:i]), UNIT)
-        right = reduce(Obj.tensor, (c.obj for c in t.terms[i + 1 :]), UNIT)
-    w = _wiring(g)
-    if w is None:
-        k = evaluate(g)
-        K.require_composable(f.cod, left.tensor(k.dom).tensor(right))
-        return K.compose(f, k, at=None if g is t else len(left.factors))
-    dom, cod, fn = w
-    K.require_composable(f.cod, left.tensor(dom).tensor(right))
-    i = len(left.factors)
-    j = i + len(dom.factors)
+    other term is evaluated and composed with f at the offset, plainly
+    if it is t.  No wiring kernel, identity or tensor product is built.
+    Once every non-wiring term is evaluated, a t whose domain is not f's
+    codomain raises the TypeMismatch that composing with it would."""
+    terms = _terms(t)
+    # (dom, cod, fn) of each wiring term, (dom, cod, kernel) of the others
+    parts = [_wiring(c) or ((k := evaluate(c)).dom, k.cod, k) for c in terms]
+    K.require_composable(f.cod, reduce(Obj.tensor, (p[0] for p in parts), UNIT))
+    i = 0
+    for c, (dom, cod, g) in zip(terms, parts):
+        if type(g) is SubKernel:
+            f = K.compose(f, g, at=None if c is t else i)
+        elif type(c) is not Id:
+            j, y = i + len(dom.factors), f.cod.factors
 
-    def moved(_: Outcome, y: Outcome) -> Outcome | None:
-        z = fn(y[i:j])
-        return None if z is None else y[:i] + z + y[j:]
+            def moved(_: Outcome, o: Outcome) -> Outcome | None:
+                z = g(o[i:j])
+                return None if z is None else o[:i] + z + o[j:]
 
-    return K.relabel(f, moved, left.tensor(cod).tensor(right))
+            f = K.relabel(f, moved, Obj(y[:i] + cod.factors + y[j:]))
+        i += len(cod.factors)
+    return f
+
+
+def _terms(t: Term) -> list[Term]:
+    """A Tensor's terms, nested Tensors opened, or [t] for any other t."""
+    return [u for c in t.terms for u in _terms(c)] if type(t) is Tensor else [t]
 
 
 def observe_as_comparator(at: Obj, point) -> Term:
@@ -315,5 +315,4 @@ def eval_normal_form(nf: NormalForm) -> SubKernel:
 
 
 def _denote(g: SubKernel, h: SubKernel) -> SubKernel:
-    restrict = K.compose(h, observe_kernel(BOOL_OBJ, YES))
-    return K.compose(K.graph(restrict), g)
+    return K.compose(K.graph(_then(h, Observe(BOOL_OBJ, YES))), g)

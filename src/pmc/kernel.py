@@ -456,10 +456,10 @@ def fill(f: SubKernel, default: SubKernel) -> SubKernel:
 
 
 def failure_probability(f: SubKernel) -> SubKernel:
-    """The scalar effect f ; discard.  Its mass at x is f's success
-    probability, so the failure probability at x is exactly this
-    effect's missing mass — failure stays implicit, as everywhere."""
-    return compose(f, discard(f.cod))
+    """The scalar effect f ; discard: each row summed onto the one output.
+    Its mass at x is f's success probability, so the failure probability
+    at x is this effect's missing mass — failure stays implicit."""
+    return relabel(f, lambda x, y: (), UNIT)
 
 
 def is_total(f: SubKernel) -> bool:

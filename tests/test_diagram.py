@@ -203,9 +203,10 @@ def leaves(draw, dom: Obj, room: int):
 @st.composite
 def terms(draw, dom: Obj, room: int = _WIDTH, depth: int = 2):
     """A term out of dom of every node kind: leaves, Compose chains,
-    Tensors, and Tensors of Ids around one term at a drawn offset, which
-    evaluate folds into the chain before them.  Now and then a wire's
-    object is wrong (see _wire).  Returns (term, cod)."""
+    Tensors, and Tensors of Ids around one term at a drawn offset.  In a
+    chain, evaluate folds each term of a Tensor step in turn into the
+    kernel before it.  Now and then a wire's object is wrong (see
+    _wire).  Returns (term, cod)."""
     n = len(dom.factors)
     kinds = ["leaf"] if depth == 0 else ["leaf", "compose", "compose", "tensor"]
     if depth and n <= room:
@@ -287,24 +288,60 @@ def test_evaluate_folds_whiskered_chains_at_every_offset():
             assert evaluate(term) == _fold(term)
 
 
+_TENSOR_STEP = "a chain step was built as a tensor product"
+
+
+def _refused(message):
+    """A stand-in for a kernel operation that evaluate must not call."""
+
+    def call(*args, **kwargs):
+        raise AssertionError(message)
+
+    return call
+
+
 def test_evaluate_folds_wiring_steps_without_compose(monkeypatch):
-    # Bare and whiskered comparators, observations and discards move the
-    # outputs of the kernel before them; none is composed with it.
-    f = Gen("f", state(obj(B, B, B), {("t", "t", "t"): Fraction(1, 3),
-                                      ("f", "t", "t"): Fraction(1, 2)}))
+    # Bare and whiskered comparators, observations and discards, and
+    # Tensors of wiring only, nested ones too, move the outputs of the
+    # kernel before them; none is composed with it, and no step's kernel
+    # is a tensor product.
+    f = Gen("f", state(obj(B, B, B, B), {("t", "t", "t", "t"): Fraction(1, 3),
+                                         ("f", "f", "t", "t"): Fraction(1, 2),
+                                         ("t", "f", "t", "t"): Fraction(1, 7)}))
     t = ("t",)
     term = Compose(
-        f, Tensor(Id(BO), Compare(BO)), Compare(BO), Copy(BO),
-        Tensor(Observe(BO, t), Id(BO)), Copy(BO), Tensor(Id(BO), Discard(BO)),
-        Id(BO), Observe(BO, t), Discard(UNIT),
+        f, Tensor(Compare(BO), Compare(BO)), Tensor(Id(BO), Id(BO)),
+        Tensor(Id(BO), Tensor(Copy(BO))), Tensor(Id(BO), Compare(BO)), Compare(BO),
+        Copy(BO), Tensor(Observe(BO, t), Id(BO)), Copy(BO),
+        Tensor(Id(BO), Discard(BO)), Id(BO), Observe(BO, t), Discard(UNIT),
     )
     want = _fold(term)
     assert want.prob((), ()) == Fraction(1, 3)
 
-    def compose(*args, **kwargs):
-        raise AssertionError("a wiring step was composed")
+    monkeypatch.setattr(K, "compose", _refused("a wiring step was composed"))
+    monkeypatch.setattr(K, "tensor", _refused(_TENSOR_STEP))
+    assert evaluate(term) == want
 
-    monkeypatch.setattr(K, "compose", compose)
+
+def test_evaluate_folds_a_tensor_of_generators_without_tensor(monkeypatch):
+    # By interchange, f ; (g (x) h) is f ; (g (x) id) ; (id (x) h): two
+    # whiskered composes, with no kernel of g (x) h.
+    three = Alphabet("three", ("x", "y", "z"))
+    f = Gen("f", make_kernel(BO, obj(B, three), {
+        "t": {("t", "x"): Fraction(1, 4), ("f", "z"): Fraction(1, 2)},
+        "f": {("f", "y"): Fraction(2, 3), ("t", "y"): Fraction(1, 3)},
+    }))
+    partial = Gen("p", make_kernel(BO, obj(three), {"t": {"y": Fraction(1, 2)}}))
+    g = Gen("g", make_kernel(obj(three), BO, {
+        "x": {"t": Fraction(1, 3), "f": Fraction(2, 3)},
+        "y": {"f": Fraction(1)},
+        "z": {"t": Fraction(1, 5)},
+    }))
+    term = Compose(f, Tensor(partial, g))
+    want = _fold(term)
+    assert want.rows and not K.is_total(want)
+
+    monkeypatch.setattr(K, "tensor", _refused(_TENSOR_STEP))
     assert evaluate(term) == want
 
 

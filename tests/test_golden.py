@@ -3,8 +3,9 @@ scripts/newcomb_noise_sweep.py and the random kernel generators.
 
 Every file under tests/golden/ except the eval inputs (*_env.json,
 dense_chain.json, wide_tensor.json, unit_cod.json, all_fail.json,
-partial_chain.json) is an output, pinned so that a change to parsing,
-arithmetic or emission cannot alter a byte unnoticed.  Regenerating one
+partial_chain.json, tensor_steps.json) is an output, pinned so that a
+change to parsing, arithmetic or emission cannot alter a byte
+unnoticed.  Regenerating one
 is a deliberate act:
 
     pmc laws --cases 50 --seed 7 [--format json]  > laws_50_seed7.{txt,json}
@@ -17,12 +18,16 @@ is a deliberate act:
     pmc eval unit_cod.json --env unit_env.json > unit_cod.out.json
     pmc eval all_fail.json --env unit_env.json > all_fail.out.json
     pmc eval partial_chain.json --env partial_env.json > partial_chain.out.json
+    pmc eval tensor_steps.json --env tensor_env.json > tensor_steps.out.json
     pmc corpus newcomb > corpus_newcomb.json
 
 After dense_chain they cover a tensor of wiring and a unit-domain
 generator, a unit codomain with labels json escapes, a kernel that
 always fails, a partial generator followed by comparators, observations
-and discards, bare and between Ids, and kernels nested in a problem.
+and discards, bare and between Ids, a chain whose steps are Tensors of
+comparators, of Ids only, of two generators (one partial), of a nested
+Compose, and of an observation beside a Copy, and kernels nested in a
+problem.
 
 and random_kernels.txt is the text random_kernels_text() below returns.
 """
@@ -83,6 +88,15 @@ def _script_main(name):
                 str(GOLDEN / "partial_env.json"),
             ],
             "partial_chain.out.json",
+        ),
+        (
+            [
+                "eval",
+                str(GOLDEN / "tensor_steps.json"),
+                "--env",
+                str(GOLDEN / "tensor_env.json"),
+            ],
+            "tensor_steps.out.json",
         ),
     ],
 )

@@ -7,13 +7,14 @@ node holding terms (a, b, c), with no bracketing to choose.  A subterm's
 path is "t" followed by ".terms[i]" per level, as the codec's JSON paths
 are "diagram" followed by the same steps, so an IllTyped message names
 its place in the document.  evaluate interprets any well-typed term as
-a subdistribution kernel; a composition chain's steps are folded into
-the kernel built so far one Tensor term at a time, and no step's wiring
-or tensor product is built (see _then).  normal_form factors a term
-built from total generators and observations into a pair (g, h): a
-total kernel g giving the outcome distribution where the term can
-succeed, and a total Boolean kernel h giving the success probability,
-so that the term's semantics is pointwise g * h(yes).
+a subdistribution kernel; a top-level Tensor is one n-ary product of
+its terms' kernels (kernel.tensor), and a composition chain's steps are
+folded into the kernel built so far one Tensor term at a time, so no
+step's wiring or tensor product is built (see _then).  normal_form
+factors a term built from total generators and observations into a
+pair (g, h): a total kernel g giving the outcome distribution where the
+term can succeed, and a total Boolean kernel h giving the success
+probability, so that the term's semantics is pointwise g * h(yes).
 """
 
 from __future__ import annotations
@@ -155,16 +156,17 @@ def observe_kernel(at: Obj, point) -> SubKernel:
 
 def evaluate(term: Term) -> SubKernel:
     """Interpret a well-typed term as a kernel: a wiring node as the
-    kernel of its partial function, a Tensor as the product of its
-    terms' kernels, and a Compose as a left fold (see _then) in which no
-    step becomes a wiring kernel or a tensor product of its own."""
+    kernel of its partial function, a Tensor as one kernel.tensor of its
+    terms' kernels (nested Tensors opened, so no partial product is
+    built), and a Compose as a left fold (see _then) in which no step
+    becomes a wiring kernel or a tensor product of its own."""
     match term:
         case Gen(_, k):
             return k
         case Compose(terms):
             return reduce(_then, terms[1:], evaluate(terms[0]))
-        case Tensor(terms):
-            return reduce(K.tensor, map(evaluate, terms))
+        case Tensor():
+            return K.tensor(*map(evaluate, _terms(term)))
     w = _wiring(term)
     if w is None:
         raise IllTyped(f"not a term: {term!r}")
@@ -242,8 +244,9 @@ class NormalForm:
 
 
 def _and(x: Outcome, y: Outcome) -> Outcome:
-    """Boolean conjunction, as a relabelling of bool (x) bool."""
-    return YES if y == YES + YES else NO
+    """Boolean conjunction, as a relabelling of bool (x) ... (x) bool:
+    YES exactly when every factor is YES."""
+    return YES if y == YES * len(y) else NO
 
 
 def normal_form(term: Term) -> NormalForm:
@@ -269,7 +272,9 @@ def _nf(term: Term) -> Parts:
         case Compare(_):
             raise NonTotalGenerator("comparator is not a constrained process")
         case Tensor(terms):
-            return reduce(_nf_tensor, map(_nf, terms))
+            # Side by side, success probabilities multiply.
+            gs, hs = zip(*map(_nf, terms))
+            return K.tensor(*gs), K.relabel(K.tensor(*hs), _and, BOOL_OBJ)
         case Compose(terms):
             return reduce(_nf_compose, map(_nf, terms))
     # infer_type has run, so every other term is wiring.  h says where
@@ -280,13 +285,6 @@ def _nf(term: Term) -> Parts:
     if type(term) is Observe:
         return K.discard(term.obj), h
     return K.deterministic(*w), h
-
-
-def _nf_tensor(left: Parts, right: Parts) -> Parts:
-    """Combine normal forms side by side: success probabilities multiply."""
-    (g1, h1), (g2, h2) = left, right
-    h = K.relabel(K.tensor(h1, h2), _and, BOOL_OBJ)
-    return K.tensor(g1, g2), h
 
 
 def _nf_compose(first: Parts, second: Parts) -> Parts:

@@ -12,7 +12,10 @@ order and sums each row keyed by those numbers; make_kernel checks each
 distinct output tuple against the codomain once per call.  compose also
 whiskers: compose(f, g, at=k) is f ; (id (x) g (x) id) with g reading
 the codomain factors of f from the k-th on, and no identity kernel is
-built or multiplied through.
+built or multiplied through.  tensor takes any number of factors and
+multiplies them out in one pass that builds no intermediate kernel;
+its rows and entries keep the order a left fold of binary products
+would give them.
 
 This module is the only one that reads or builds rows.  The rest of
 the package works through compose, tensor, deterministic (the kernel of
@@ -29,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import lcm
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     BadSplit,
@@ -45,6 +49,8 @@ from .errors import (
 Outcome = tuple[str, ...]
 Row = dict[Outcome, Fraction]
 IntRow = tuple[int, list[tuple[int, int]]]
+# A row as _times builds it: (x, [(y, p, p == 1), ...]).
+FlatRow = tuple[Outcome, list[tuple[Outcome, Fraction, bool]]]
 PartialFn = Callable[[Outcome], Optional[Outcome]]  # None where undefined
 
 
@@ -357,23 +363,56 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
     return SubKernel(f.dom, cod, rows)
 
 
-def tensor(f: SubKernel, g: SubKernel) -> SubKernel:
-    """Parallel composition on concatenated tuples.
+_UNIT_ROWS: tuple[FlatRow, ...] = (((), [((), ONE, True)]),)  # the empty product
 
-    Where f's entry p is 1, as in every structural map, the product
-    p * q is g's entry q, already a reduced Fraction, and is stored
-    without multiplying.
+
+def _times(done: Sequence[FlatRow], k: SubKernel) -> list[FlatRow]:
+    """The rows of done (x) k, as done's are given: flat lists, no row
+    dict built.  Where one of two factors of an entry is 1, the other
+    is kept without multiplying."""
+    return [
+        (x0 + x, [
+            (y0 + y, q if one0 else p if q == 1 else p * q, one0 and q == 1)
+            for y0, p, one0 in e0
+            for y, q in r.items()
+        ])
+        for x0, e0 in done
+        for x, r in k.rows.items()
+    ]
+
+
+def tensor(f: SubKernel, *gs: SubKernel) -> SubKernel:
+    """Parallel composition f (x) g1 (x) g2 ... on concatenated tuples.
+
+    One pass, with no intermediate kernel: the factors are cut into a
+    left and a right half, each half is multiplied out as flat lists
+    (see _times), and the left's entries times the right's are written
+    straight into the result's rows.  With factors of like size, each
+    half holds about the square root of the result's entries, so the
+    halves cost little beside the result.  Rows and entries come out in
+    the order a left fold of binary products gives: each factor's own
+    order, the leftmost factor outermost.  Where an entry is 1, as in
+    every structural map, the other factor of a product, already a
+    reduced Fraction, is stored without multiplying.
     """
-    rows: dict[Outcome, Row] = {}
-    for x1, r1 in f.rows.items():
-        terms = [(y1, p, p == 1) for y1, p in r1.items()]
-        for x2, r2 in g.rows.items():
-            rows[x1 + x2] = {
-                y1 + y2: q if one else p * q
-                for y1, p, one in terms
-                for y2, q in r2.items()
+    ks = (f, *gs)
+    cut = (len(ks) + 1) // 2
+    left, right = (
+        reduce(_times, half, _UNIT_ROWS) for half in (ks[:cut], ks[cut:])
+    )
+    return SubKernel(
+        Obj(tuple(a for k in ks for a in k.dom.factors)),
+        Obj(tuple(a for k in ks for a in k.cod.factors)),
+        {
+            x0 + x: {
+                y0 + y: q if one0 else p if one else p * q
+                for y0, p, one0 in e0
+                for y, q, one in e
             }
-    return SubKernel(f.dom.tensor(g.dom), f.cod.tensor(g.cod), rows)
+            for x0, e0 in left
+            for x, e in right
+        },
+    )
 
 
 def normalise(f: SubKernel) -> SubKernel:

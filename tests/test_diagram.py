@@ -345,6 +345,31 @@ def test_evaluate_folds_a_tensor_of_generators_without_tensor(monkeypatch):
     assert evaluate(term) == want
 
 
+def test_evaluate_makes_one_tensor_product_per_tensor(monkeypatch):
+    # f1 (x) ... (x) f5 has no bracketing: one n-ary product, with no
+    # partial product of a prefix built first, nested Tensors opened.
+    three = Alphabet("three", ("x", "y", "z"))
+    g = Gen("g", make_kernel(BO, obj(three), {
+        "t": {"x": Fraction(1, 4), "z": Fraction(1, 2)},
+        "f": {"y": Fraction(2, 3), "x": Fraction(1, 3)},
+    }))
+    flat = Tensor(Copy(BO), Swap(BO, obj(three)), g, Id(BO), Compare(BO))
+    nested = Tensor(Copy(BO), Tensor(Swap(BO, obj(three)), Tensor(g, Id(BO))),
+                    Compare(BO))
+    wants = [_fold(flat), _fold(nested)]
+    tensor, calls = K.tensor, []
+
+    def counted(*ks):
+        calls.append(len(ks))
+        return tensor(*ks)
+
+    monkeypatch.setattr(K, "tensor", counted)
+    for term, want in zip((flat, nested), wants):
+        calls.clear()
+        assert evaluate(term) == want
+        assert calls == [5]
+
+
 @pytest.mark.parametrize(
     "term",
     [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -444,26 +445,45 @@ def test_compose_prime_denominator_chain_matches_integer_product():
 # -- tensor against the naive product ---------------------------------------
 
 
-def naive_tensor_rows(f, g):
+def naive_tensor_rows(r1s, r2s):
+    """The rows of the product of two row tables, multiplying every pair."""
     return {
         x1 + x2: {
             y1 + y2: p * q for y1, p in r1.items() for y2, q in r2.items()
         }
-        for x1, r1 in f.rows.items()
-        for x2, r2 in g.rows.items()
+        for x1, r1 in r1s.items()
+        for x2, r2 in r2s.items()
     }
 
 
-@given(kernels(), kernels())
-@example(
+@st.composite
+def tensor_factors(draw):
+    """1-4 kernels; past two, each with at most one factor each side,
+    so that the product stays small."""
+    n = draw(st.integers(1, 4))
+    if n <= 2:
+        return [draw(kernels()) for _ in range(n)]
+    one = objects(max_factors=1)
+    return [draw(kernels(dom=draw(one), cod=draw(one))) for _ in range(n)]
+
+
+@given(tensor_factors())
+@example([
     # f's entries mix 1 and other values; g has none equal to 1.
     bk({"t": {"f": 1}, "f": {"t": HALF, "f": Fraction(1, 3)}}),
     bk({"t": {"t": Fraction(1, 3), "f": Fraction(2, 3)}, "f": {"f": HALF}}),
-)
-@example(K.copy(BO), bk({"f": {"t": Fraction(1, 5), "f": Fraction(3, 4)}}))
-def test_tensor_matches_naive_product(f, g):
-    h = K.tensor(f, g)
-    expected = naive_tensor_rows(f, g)
+])
+@example([K.copy(BO), bk({"f": {"t": Fraction(1, 5), "f": Fraction(3, 4)}})])
+@example([
+    # No entry is 1, so every product multiplies.
+    bk({"t": {"t": Fraction(1, 3), "f": HALF}, "f": {"f": Fraction(1, 4)}}),
+    make_kernel(UNIT, BO, {(): {"t": Fraction(3, 7), "f": Fraction(2, 7)}}),
+    bk({"t": {"t": Fraction(2, 3)},
+        "f": {"t": Fraction(1, 5), "f": Fraction(3, 5)}}),
+])
+def test_tensor_matches_naive_product(fs):
+    h = K.tensor(*fs)
+    expected = reduce(naive_tensor_rows, (f.rows for f in fs))
     assert h.rows == expected
     assert list(h.rows) == list(expected)
     for x, row in h.rows.items():
@@ -593,6 +613,8 @@ def test_tensor_respects_unit_and_associativity(f, g):
     assert K.tensor(unit_id, f) == f
     h = K.identity(BO)
     assert K.tensor(K.tensor(f, g), h) == K.tensor(f, K.tensor(g, h))
+    assert K.tensor(f, g, h) == K.tensor(K.tensor(f, g), h)
+    assert K.tensor(f) == f
 
 
 @given(kernels())

@@ -6,12 +6,16 @@ integers allowed) — so emit -> parse -> emit is byte-identical.
 
 kernel_to_json returns a KernelJSON: a read-only mapping over the
 kernel that write_text (and to_text, which joins its pieces) writes
-straight from the kernel's rows, with no payload tree in between; each label's quoted text is made once per
-kernel, from the labels its domain and codomain declare.  Read as a
-mapping, it is the plain JSON object {"dom", "cod", "rows"}, parsed
-back from that same text, so there is one rendering of rows; dict(p)
-gives an editable copy.  The parsers accept a KernelJSON wherever they
-accept a kernel document.
+straight from the kernel's rows, with no payload tree in between.  Each
+label's quoted text is made once per kernel, from the labels its domain
+and codomain declare.  Where every label of the domain (or codomain) is
+plain, json writes it as itself in quotes, so an outcome's list is its
+bare labels joined in one call between fixed quotes and indentation:
+the same bytes, with no lookup per label.  Read as a mapping, it is
+the plain JSON object {"dom", "cod", "rows"}, parsed back from that
+same text, so there is one rendering of rows; dict(p) gives an editable
+copy.  The parsers accept a KernelJSON wherever they accept a kernel
+document.
 
 Parsing a kernel checks the schema and every entry's sign for the whole
 document first, parsing each distinct probability string once; then
@@ -141,14 +145,34 @@ def _write(value: Any, nl: str, write: Callable[[str], Any]) -> None:
         )
 
 
-def _quoted_labels(at: Obj, nl: str) -> dict[str, str]:
-    """label -> nl + its quoted text, for every label of at."""
-    return {x: nl + _quote(x) for a in at.factors for x in a.labels}
+def _label_list(at: Obj, nl: str) -> Callable[[tuple[str, ...]], str]:
+    """outcome of at -> the text of its label list at indentation nl:
+    one join of the bare labels when every label of at is plain
+    (_quote(x) is x in quotes), else one lookup per label."""
+    if not at.factors:
+        return lambda y: "[]"
+    inner = nl + "  "
+    close = nl + "]"
+    quoted = {x: _quote(x) for a in at.factors for x in a.labels}
+    if all(q == '"' + x + '"' for x, q in quoted.items()):
+        head = "[" + inner + '"'
+        sep = '",' + inner + '"'
+        tail = '"' + close
+        return lambda y: head + sep.join(y) + tail
+    label = {x: inner + q for x, q in quoted.items()}.__getitem__
+    return lambda y: "[" + ",".join(map(label, y)) + close
 
 
 def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
     """_write for a KernelJSON: the text of {"dom", "cod", "rows"} at
-    indentation nl, written from k.rows with fixed templates."""
+    indentation nl, written from k.rows with fixed templates.
+
+    Rows and entries go out in sorted order; a row of one entry has
+    nothing to sort.  An "in" or "val" list is one join of the bare
+    labels when every label of k.dom or k.cod respectively is plain
+    (see _label_list); quoting a plain label only adds the quotes that
+    join places around it, so the text is _write's either way.
+    """
     i1, i2, i3, i4, i5 = (nl + "  " * n for n in range(1, 6))
     write("{" + i1 + '"dom": ')
     _write(obj_to_json(k.dom), i1, write)
@@ -162,29 +186,25 @@ def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
     row_open = "{" + i3 + '"in": '
     row_out = "," + i3 + '"out": [' + i4
     row_close = i3 + "]" + i2 + "}"
-    in_close = i3 + "]"
     entry_sep = "," + i4
     val_open = "{" + i5 + '"val": '
-    val_close = i5 + "]"
     p_open = "," + i5 + '"p": "'
     p_close = '"' + i4 + "}"
-    in_label = _quoted_labels(k.dom, i4).__getitem__
-    val_label = _quoted_labels(k.cod, i5 + "  ").__getitem__
+    in_list = _label_list(k.dom, i3)
+    val_list = _label_list(k.cod, i5)
     sep = "," + i1 + '"rows": [' + i2
     for x in sorted(rows):
         row = rows[x]
         entries = []
-        for y in sorted(row):
+        for y in sorted(row) if len(row) > 1 else row:
             q = row[y]
             d = q.denominator
             entries.append(
-                f"{val_open}"
-                f"{'[' + ','.join(map(val_label, y)) + val_close if y else '[]'}"
+                f"{val_open}{val_list(y)}"
                 f"{p_open}{q.numerator if d == 1 else f'{q.numerator}/{d}'}{p_close}"
             )
         write(
-            f"{sep}{row_open}"
-            f"{'[' + ','.join(map(in_label, x)) + in_close if x else '[]'}"
+            f"{sep}{row_open}{in_list(x)}"
             f"{row_out}{entry_sep.join(entries)}{row_close}"
         )
         sep = "," + i2

@@ -158,6 +158,10 @@ def test_kernel_rows_sorted_lexicographically():
     f = K.make_kernel(BO, BO, {"t": {"f": Fraction(1, 2)}, "f": {"t": 1}})
     doc = codec.kernel_to_json(f)
     assert [r["in"] for r in doc["rows"]] == [["f"], ["t"]]
+    # Entries within a row are sorted too, not written in insertion order.
+    g = K.make_kernel(BO, BO, {"t": {"t": Fraction(1, 3), "f": Fraction(2, 3)}})
+    [row] = codec.kernel_to_json(g)["rows"]
+    assert [e["val"] for e in row["out"]] == [["f"], ["t"]]
 
 
 def test_kernel_from_json_validates():

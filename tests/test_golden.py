@@ -3,9 +3,10 @@ scripts/newcomb_noise_sweep.py and the random kernel generators.
 
 Every file under tests/golden/ except the eval inputs (*_env.json,
 dense_chain.json, wide_tensor.json, unit_cod.json, all_fail.json,
-partial_chain.json, tensor_steps.json, tensor_product.json) is an
-output, pinned so that a change to parsing, arithmetic or emission
-cannot alter a byte unnoticed.  Regenerating one is a deliberate act:
+partial_chain.json, tensor_steps.json, tensor_product.json,
+mixed_labels.json) is an output, pinned so that a change to parsing,
+arithmetic or emission cannot alter a byte unnoticed.  Regenerating one
+is a deliberate act:
 
     pmc laws --cases 50 --seed 7 [--format json]  > laws_50_seed7.{txt,json}
     python scripts/solve_corpus.py [--format json] > solve_corpus.{tsv,json}
@@ -19,6 +20,7 @@ cannot alter a byte unnoticed.  Regenerating one is a deliberate act:
     pmc eval partial_chain.json --env partial_env.json > partial_chain.out.json
     pmc eval tensor_steps.json --env tensor_env.json > tensor_steps.out.json
     pmc eval tensor_product.json --env tensor_env.json > tensor_product.out.json
+    pmc eval mixed_labels.json --env mixed_env.json > mixed_labels.out.json
     pmc corpus newcomb > corpus_newcomb.json
 
 After dense_chain they cover a tensor of wiring and a unit-domain
@@ -27,8 +29,9 @@ always fails, a partial generator followed by comparators, observations
 and discards, bare and between Ids, a chain whose steps are Tensors of
 comparators, of Ids only, of two generators (one partial), of a nested
 Compose, and of an observation beside a Copy, a top-level tensor of a
-partial generator, a second generator, a Copy and a Swap, and kernels
-nested in a problem.
+partial generator, a second generator, a Copy and a Swap, a plain
+domain beside a codomain of plain and escaped labels whose rows were
+declared out of order, and kernels nested in a problem.
 
 and random_kernels.txt is the text random_kernels_text() below returns.
 """
@@ -107,6 +110,15 @@ def _script_main(name):
                 str(GOLDEN / "tensor_env.json"),
             ],
             "tensor_product.out.json",
+        ),
+        (
+            [
+                "eval",
+                str(GOLDEN / "mixed_labels.json"),
+                "--env",
+                str(GOLDEN / "mixed_env.json"),
+            ],
+            "mixed_labels.out.json",
         ),
     ],
 )

@@ -19,23 +19,30 @@ from pmc.kernel import Alphabet, UNIT, obj
 # Labels that json escapes: quotes, backslash, control characters and
 # non-ASCII text.  conftest's alphabets use a, b, c and d.
 _AWKWARD = {"a": 'q"', "b": "\\", "c": "\x01\n", "d": "é☃"}
+_SAME = {x: x for x in "abcd"}
 B = Alphabet("bool", ("t", "f"))
 S = Alphabet("s", ('q"', "\\", "\x01\n", "é☃"))
+# Plain labels that look unusual: json writes each as itself in quotes.
+ODD = Alphabet("odd", ("", "/", " ", "'"))
+# A plain label first, then two that json escapes: DEL and non-ASCII.
+ESC = Alphabet("esc", ("ok", "\x7f", "é"))
 
 
-def _relabel(k: K.SubKernel) -> K.SubKernel:
-    def alpha(o: K.Obj) -> K.Obj:
+def _relabel(k: K.SubKernel, dom: bool = True, cod: bool = True) -> K.SubKernel:
+    """k with the labels of its domain, its codomain or both made awkward."""
+
+    def alpha(o: K.Obj, names: dict) -> K.Obj:
         return K.Obj(
-            tuple(Alphabet(a.name, tuple(map(_AWKWARD.get, a.labels))) for a in o.factors)
+            tuple(Alphabet(a.name, tuple(map(names.get, a.labels))) for a in o.factors)
         )
 
+    ins = _AWKWARD if dom else _SAME
+    outs = _AWKWARD if cod else _SAME
     return K.make_kernel(
-        alpha(k.dom),
-        alpha(k.cod),
+        alpha(k.dom, ins),
+        alpha(k.cod, outs),
         {
-            tuple(map(_AWKWARD.get, x)): {
-                tuple(map(_AWKWARD.get, y)): p for y, p in row.items()
-            }
+            tuple(map(ins.get, x)): {tuple(map(outs.get, y)): p for y, p in row.items()}
             for x, row in k.rows.items()
         },
     )
@@ -76,16 +83,45 @@ _EXAMPLES = [
     K.make_kernel(
         obj(S), obj(S, B), {'q"': {("\\", "t"): Fraction(1, 4)}, "é☃": {("\x01\n", "f"): 1}}
     ),
+    # A plain domain with a codomain whose second factor is awkward, and
+    # the reverse; rows of two entries, inserted out of order.
+    K.make_kernel(
+        obj(B),
+        obj(B, S),
+        {"t": {("t", "é☃"): Fraction(1, 3), ("f", 'q"'): Fraction(2, 3)}, "f": {("f", "\\"): 1}},
+    ),
+    K.make_kernel(
+        obj(S, B), obj(B), {("\x01\n", "t"): {"t": Fraction(1, 5), "f": Fraction(1, 5)}}
+    ),
+    # Unusual plain labels on both sides.
+    K.make_kernel(
+        obj(ODD), obj(ODD, ODD), {"'": {(" ", ""): Fraction(1, 2), ("/", "'"): Fraction(1, 2)}}
+    ),
+    # Escaped labels behind a plain one in the same alphabet, both sides.
+    K.make_kernel(
+        obj(ESC), obj(ODD, ESC), {"é": {("", "\x7f"): Fraction(3, 4)}, "ok": {("/", "ok"): 1}}
+    ),
 ]
 
 
-@given(st.one_of(kernels(), kernels().map(_relabel)))
+@given(
+    st.one_of(
+        kernels(),
+        kernels().map(_relabel),
+        kernels().map(lambda k: _relabel(k, cod=False)),
+        kernels().map(lambda k: _relabel(k, dom=False)),
+    )
+)
 @example(_EXAMPLES[0])
 @example(_EXAMPLES[1])
 @example(_EXAMPLES[2])
 @example(_EXAMPLES[3])
 @example(_EXAMPLES[4])
 @example(_EXAMPLES[5])
+@example(_EXAMPLES[6])
+@example(_EXAMPLES[7])
+@example(_EXAMPLES[8])
+@example(_EXAMPLES[9])
 def test_writer_matches_json_dumps_at_every_depth(k):
     plain = _plain(k)
     assert codec.to_text(codec.kernel_to_json(k)) == _dumps(plain)
@@ -120,6 +156,30 @@ def test_writer_matches_json_dumps_at_every_depth(k):
     assert codec.to_text([codec.report_to_json(report)]) == _dumps(
         [{"law": "law", "instances": 2, "passes": 1, "failures": 1, "counterexample": expected}]
     )
+
+
+@pytest.mark.parametrize(
+    "at, plain",
+    [
+        (obj(B, B), True),
+        (obj(ODD), True),
+        (obj(B, ODD), True),
+        (obj(S), False),
+        (obj(ESC), False),
+        (obj(B, ESC), False),
+        (obj(ODD, ESC), False),
+    ],
+)
+def test_label_lists_join_bare_labels_only_where_every_label_is_plain(at, plain):
+    # The one-join path never looks a label up, so it writes a label that
+    # at does not declare; the per-label path refuses it.
+    text = '[\n  "zz",\n  "t"\n]'
+    write = codec._label_list(at, "\n")
+    if plain:
+        assert write(("zz", "t")) == text
+    else:
+        with pytest.raises(KeyError):
+            write(("zz", "t"))
 
 
 @pytest.mark.parametrize("k", _EXAMPLES)

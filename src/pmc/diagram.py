@@ -12,9 +12,10 @@ its terms' kernels (kernel.tensor), and a composition chain's steps are
 folded into the kernel built so far one Tensor term at a time, so no
 step's wiring or tensor product is built (see _then).  normal_form
 factors a term built from total generators and observations into a
-pair (g, h): a total kernel g giving the outcome distribution where the
-term can succeed, and a total Boolean kernel h giving the success
-probability, so that the term's semantics is pointwise g * h(yes).
+pair (g, h) computed in the total category: the term is lifted once to
+a total kernel into its codomain (x) bool (see _lift), h is that bool's
+marginal, the success probability, and g the conditional on success,
+so that the term's semantics is pointwise g * h(yes).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 
 from . import kernel as K
 from .errors import IllTyped, NonTotalGenerator
@@ -229,8 +231,8 @@ class NormalForm:
     """A factored term: outcome kernel g, success predicate h, both total.
 
     The represented kernel sends x to g(- | x) scaled by h(t | x); on
-    inputs where success is impossible, g holds an arbitrary default
-    distribution that the scaling wipes out.
+    inputs where success is impossible, g holds the uniform state, which
+    the scaling wipes out.
     """
 
     g: SubKernel
@@ -243,74 +245,71 @@ class NormalForm:
             raise NonTotalGenerator("normal form parts must be total")
 
 
-def _and(x: Outcome, y: Outcome) -> Outcome:
-    """Boolean conjunction, as a relabelling of bool (x) ... (x) bool:
-    YES exactly when every factor is YES."""
+def _and(y: Outcome) -> Outcome:
+    """Boolean conjunction: YES exactly when every bool label of y is YES."""
     return YES if y == YES * len(y) else NO
 
 
 def normal_form(term: Term) -> NormalForm:
-    """Factor a constrained-process term into (g, h) by induction.
+    """Factor a constrained-process term into (g, h) through its lift.
 
+    h is the bool marginal of _lift(term), the success probability, and
+    g is the lift restricted to YES and normalised, the conditional on
+    success, filled with the uniform state where success is impossible.
     Accepts terms whose generators are all total and whose only partial
     node is Observe; a comparator or a non-total generator raises
     NonTotalGenerator.  Raises IllTyped on type errors.
     """
-    infer_type(term)
-    return NormalForm(*_nf(term))
+    _, cod = infer_type(term)
+    lift = _lift(term)
+    won = K.relabel(lift, lambda x, y: y[:-1] if y[-1:] == YES else None, cod)
+    uniform = K.state(cod, dict.fromkeys(cod.outcomes(), Fraction(1, cod.size)))
+    h = K.relabel(lift, lambda x, y: y[-1:], BOOL_OBJ)
+    return NormalForm(K.fill(K.normalise(won), uniform), h)
 
 
-Parts = tuple[SubKernel, SubKernel]  # (g, h) of a NormalForm being built
-
-
-def _nf(term: Term) -> Parts:
+def _lift(term: Term) -> SubKernel:
+    """The total kernel X -> Y (x) bool of a well-typed term t : X -> Y,
+    its bool saying whether t succeeded; a failed entry's Y part carries
+    no meaning.  A comparator or a non-total generator raises
+    NonTotalGenerator."""
     match term:
         case Gen(name, k):
             if not K.is_total(k):
                 raise NonTotalGenerator(f"generator {name!r} is not total")
-            return k, K.deterministic(k.dom, BOOL_OBJ, lambda x: YES)
+            return K.relabel(k, lambda x, y: y + YES, k.cod.tensor(BOOL_OBJ))
         case Compare(_):
             raise NonTotalGenerator("comparator is not a constrained process")
-        case Tensor(terms):
-            # Side by side, success probabilities multiply.
-            gs, hs = zip(*map(_nf, terms))
-            return K.tensor(*gs), K.relabel(K.tensor(*hs), _and, BOOL_OBJ)
         case Compose(terms):
-            return reduce(_nf_compose, map(_nf, terms))
-    # infer_type has run, so every other term is wiring.  h says where
-    # its function is defined; Observe, the one partial node left, has
-    # discard for its outcome part.
-    w = _wiring(term)
-    h = K.deterministic(w[0], BOOL_OBJ, lambda a: NO if w[2](a) is None else YES)
-    if type(term) is Observe:
-        return K.discard(term.obj), h
-    return K.deterministic(*w), h
+            # l1 ; (l2 (x) id), whose codomain is Y (x) bool2 (x) bool1
+            return reduce(
+                lambda l1, l2: K.relabel(
+                    K.compose(l1, l2, at=0),
+                    lambda x, y: y[:-2] + _and(y[-2:]),
+                    l2.cod,
+                ),
+                map(_lift, terms),
+            )
+        case Tensor():
+            # Y1 (x) bool (x) Y2 (x) bool ...: each bool moved last, anded
+            lifts = [_lift(t) for t in _terms(term)]
+            ends = {*accumulate(len(f.cod.factors) for f in lifts)}
+            keep = [i for i in range(max(ends)) if i + 1 not in ends]
+            cod = Obj(tuple(a for f in lifts for a in f.cod.factors[:-1]))
 
+            def moved(_: Outcome, y: Outcome) -> Outcome:
+                return tuple(y[i] for i in keep) + _and(tuple(y[i - 1] for i in ends))
 
-def _nf_compose(first: Parts, second: Parts) -> Parts:
-    """Combine normal forms along a composition.
-
-    Through the middle object, g1 ; (g2, h2)'s kernel has mass
-    t(x) = sum_m g1(m | x) s2(m), with s2 the success probability h2(t).
-    Normalised, it is the outcome kernel where t(x) > 0; where t(x) = 0
-    the outcome row defaults to uniform to keep g total.  The overall
-    success is h1 and (g1 ; h2), of probability s1(x) * t(x).
-    """
-    (g1, h1), (g2, h2) = first, second
-    cod = g2.cod
-    uniform = K.state(cod, dict.fromkeys(cod.outcomes(), Fraction(1, cod.size)))
-    through = K.compose(g1, _denote(g2, h2))
-    g = K.fill(K.normalise(through), uniform)
-    both = K.compose(K.graph(h1), K.compose(g1, h2), at=1)
-    h = K.relabel(both, _and, BOOL_OBJ)
-    return g, h
+            return K.relabel(K.tensor(*lifts), moved, cod.tensor(BOOL_OBJ))
+    # infer_type has run, so every other term is wiring.
+    dom, cod, fn = _wiring(term)
+    fail, cod = next(cod.outcomes()) + NO, cod.tensor(BOOL_OBJ)
+    return K.deterministic(
+        dom, cod, lambda a: fail if (b := fn(a)) is None else b + YES
+    )
 
 
 def eval_normal_form(nf: NormalForm) -> SubKernel:
     """The kernel a normal form denotes: copy ; ((h ; observe yes) (x) g),
     built as graph(h ; observe yes) ; g."""
-    return _denote(nf.g, nf.h)
-
-
-def _denote(g: SubKernel, h: SubKernel) -> SubKernel:
-    return K.compose(K.graph(_then(h, Observe(BOOL_OBJ, YES))), g)
+    return K.compose(K.graph(_then(nf.h, Observe(BOOL_OBJ, YES))), nf.g)

@@ -23,6 +23,7 @@ from pmc.diagram import (
     Swap,
     Tensor,
     YES,
+    _lift,
     eval_normal_form,
     evaluate,
     infer_type,
@@ -31,6 +32,7 @@ from pmc.diagram import (
 )
 from pmc.errors import IllTyped, NonTotalGenerator, TypeMismatch, UnknownLabel
 from pmc.kernel import Alphabet, Obj, UNIT, make_kernel, obj, state
+from pmc.laws import random_cproc_term
 
 from conftest import kernels
 
@@ -434,11 +436,19 @@ def test_normal_form_rejects_partial_generator():
     partial = state(BO, {"t": Fraction(1, 2)})
     with pytest.raises(NonTotalGenerator):
         normal_form(Gen("partial", partial))
+    # nested, after a total term
+    with pytest.raises(NonTotalGenerator) as err:
+        normal_form(Tensor(Gen("coin", COIN), Gen("partial", partial)))
+    assert str(err.value) == "generator 'partial' is not total"
 
 
 def test_normal_form_rejects_comparator():
     with pytest.raises(NonTotalGenerator):
         normal_form(Compare(BO))
+    # nested, as the second step of a composition
+    with pytest.raises(NonTotalGenerator) as err:
+        normal_form(Compose(Copy(BO), Compare(BO)))
+    assert str(err.value) == "comparator is not a constrained process"
 
 
 def test_normal_form_type_checks_first():
@@ -474,3 +484,35 @@ def test_evaluate_allows_partial_generators():
     partial = state(BO, {"t": Fraction(1, 2)})
     term = Compose(Gen("partial", partial), Discard(BO))
     assert evaluate(term).prob((), ()) == Fraction(1, 2)
+
+
+def test_normal_form_g_is_uniform_where_success_is_impossible():
+    # There h scales g's row away, so any total row would denote the same
+    # kernel; g holds the uniform state, whatever the term's shape.
+    terms = rows = 0
+    for seed in range(400):
+        nf = normal_form(random_cproc_term(seed))
+        cod = nf.g.cod
+        uniform = dict.fromkeys(cod.outcomes(), Fraction(1, cod.size))
+        zero = [x for x in nf.h.dom.outcomes() if nf.h.prob(x, YES) == 0]
+        for x in zero:
+            assert nf.g.row(x) == uniform, (seed, x)
+        terms, rows = terms + bool(zero), rows + len(zero)
+    assert (terms, rows) == (73, 188)  # the seeds do reach such inputs
+
+
+def test_normal_form_is_computed_in_the_total_category(monkeypatch):
+    # One lift into cod (x) bool, total, then one normalisation of its
+    # success part: none per composition step.
+    normalised = []
+    normalise = K.normalise
+    monkeypatch.setattr(K, "normalise", lambda f: normalised.append(f) or normalise(f))
+    for seed in range(100):
+        term = random_cproc_term(seed)
+        dom, cod = infer_type(term)
+        lift = _lift(term)
+        assert (lift.dom, lift.cod) == (dom, cod.tensor(BOOL_OBJ))
+        assert K.is_total(lift), seed
+        normalised.clear()
+        normal_form(term)
+        assert len(normalised) == 1, seed

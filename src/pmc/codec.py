@@ -4,18 +4,15 @@ Emission is canonical — factors in declared order, rows and outputs in
 lexicographic label order, rationals as reduced "num/den" (plain
 integers allowed) — so emit -> parse -> emit is byte-identical.
 
-kernel_to_json returns a KernelJSON: a read-only mapping over the
-kernel that write_text (and to_text, which joins its pieces) writes
-straight from the kernel's rows, with no payload tree in between.  Each
-label's quoted text is made once per kernel, from the labels its domain
-and codomain declare.  Where every label of the domain (or codomain) is
+kernel_to_json returns a KernelJSON: a kernel placed in a payload, which
+write_text (and to_text, which joins its pieces) writes straight from
+the kernel's rows, with no payload tree in between.  It is write-only:
+the parsers read JSON documents, never a KernelJSON.  Each label's
+quoted text is made once per kernel, from the labels its domain and
+codomain declare.  Where every label of the domain (or codomain) is
 plain, json writes it as itself in quotes, so an outcome's list is its
 bare labels joined in one call between fixed quotes and indentation:
-the same bytes, with no lookup per label.  Read as a mapping, it is
-the plain JSON object {"dom", "cod", "rows"}, parsed back from that
-same text, so there is one rendering of rows; dict(p) gives an editable
-copy.  The parsers accept a KernelJSON wherever they accept a kernel
-document.
+the same bytes, with no lookup per label.
 
 Parsing a kernel checks the schema and every entry's sign for the whole
 document first, parsing each distinct probability string once; then
@@ -26,53 +23,21 @@ output tuple once.
 from __future__ import annotations
 
 import json
-import re
 from collections.abc import Callable, Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
 from . import diagram as D
 from . import edt as E
 from .errors import NegativeProbability, SchemaError
-from .kernel import Alphabet, Obj, SubKernel, make_kernel
+from .kernel import Alphabet, Obj, SubKernel, make_kernel, parse_fraction
 
 
 def format_fraction(q: Fraction | int) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-# The rational strings of README "File formats": [sign] int ["/" int],
-# or a decimal with digits on at least one side of the point, with
-# whitespace around.  It is checked before Fraction() reads the string,
-# so the grammar is the same on every Python: Fraction() also reads "_"
-# between digits (from 3.11), spaces around "/" (from 3.12) and
-# exponents, and "1e-10000000", 11 characters, would build a
-# 33-million-bit denominator.  No run of digits may be longer than
-# Python's default int conversion limit, 4300 digits: Fraction() works
-# on a long decimal in time superlinear in its length before int()
-# refuses it.
-_DIGITS = r"\d{1,4300}"
-_RATIONAL = re.compile(
-    rf"\s*[+-]?(?:{_DIGITS}(?:/{_DIGITS})?|{_DIGITS}\.\d{{0,4300}}|\.{_DIGITS})\s*"
-)
-
-
-def parse_fraction(value: Any) -> Fraction:
-    """A JSON int, or a string in the _RATIONAL grammar."""
-    if isinstance(value, bool):
-        raise SchemaError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
-            raise SchemaError(f"not a rational: {value!r}")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"not a rational: {value!r}") from exc
-    raise SchemaError(f"not a rational: {value!r}")
 
 
 def to_text(payload: Any) -> str:
@@ -145,22 +110,25 @@ def _write(value: Any, nl: str, write: Callable[[str], Any]) -> None:
         )
 
 
-def _label_list(at: Obj, nl: str) -> Callable[[tuple[str, ...]], str]:
-    """outcome of at -> the text of its label list at indentation nl:
-    one join of the bare labels when every label of at is plain
-    (_quote(x) is x in quotes), else one lookup per label."""
+def _label_list(
+    at: Obj, nl: str
+) -> tuple[str, str, str, Callable[[str], str] | None]:
+    """(head, sep, tail, body) for the label lists of at's outcomes at
+    indentation nl: an outcome y is written head + sep.join(labels) +
+    tail, its labels being y itself when body is None, which is when
+    every label of at is plain (_quote(x) is x in quotes), else
+    map(body, y), body giving each label's quoted text without its
+    quotes."""
     if not at.factors:
-        return lambda y: "[]"
+        return "[]", "", "", None
     inner = nl + "  "
-    close = nl + "]"
     quoted = {x: _quote(x) for a in at.factors for x in a.labels}
+    head = "[" + inner + '"'
+    sep = '",' + inner + '"'
+    tail = '"' + nl + "]"
     if all(q == '"' + x + '"' for x, q in quoted.items()):
-        head = "[" + inner + '"'
-        sep = '",' + inner + '"'
-        tail = '"' + close
-        return lambda y: head + sep.join(y) + tail
-    label = {x: inner + q for x, q in quoted.items()}.__getitem__
-    return lambda y: "[" + ",".join(map(label, y)) + close
+        return head, sep, tail, None
+    return head, sep, tail, {x: q[1:-1] for x, q in quoted.items()}.__getitem__
 
 
 def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
@@ -168,10 +136,10 @@ def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
     indentation nl, written from k.rows with fixed templates.
 
     Rows and entries go out in sorted order; a row of one entry has
-    nothing to sort.  An "in" or "val" list is one join of the bare
-    labels when every label of k.dom or k.cod respectively is plain
-    (see _label_list); quoting a plain label only adds the quotes that
-    join places around it, so the text is _write's either way.
+    nothing to sort.  Each "in" or "val" list is one join (see
+    _label_list), of the bare labels when every label of k.dom or k.cod
+    respectively is plain: quoting a plain label only adds the quotes
+    that join places around it, so the text is _write's either way.
     """
     i1, i2, i3, i4, i5 = (nl + "  " * n for n in range(1, 6))
     write("{" + i1 + '"dom": ')
@@ -182,16 +150,16 @@ def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
     if not rows:
         write("," + i1 + '"rows": []' + nl + "}")
         return
+    in_head, in_sep, in_tail, in_body = _label_list(k.dom, i3)
+    val_head, val_sep, val_tail, val_body = _label_list(k.cod, i5)
     # A row is {"in": [x...], "out": [{"val": [y...], "p": p}, ...]}.
-    row_open = "{" + i3 + '"in": '
-    row_out = "," + i3 + '"out": [' + i4
+    row_open = "{" + i3 + '"in": ' + in_head
+    row_out = in_tail + "," + i3 + '"out": [' + i4
     row_close = i3 + "]" + i2 + "}"
     entry_sep = "," + i4
-    val_open = "{" + i5 + '"val": '
-    p_open = "," + i5 + '"p": "'
+    val_open = "{" + i5 + '"val": ' + val_head
+    p_open = val_tail + "," + i5 + '"p": "'
     p_close = '"' + i4 + "}"
-    in_list = _label_list(k.dom, i3)
-    val_list = _label_list(k.cod, i5)
     sep = "," + i1 + '"rows": [' + i2
     for x in sorted(rows):
         row = rows[x]
@@ -200,11 +168,11 @@ def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
             q = row[y]
             d = q.denominator
             entries.append(
-                f"{val_open}{val_list(y)}"
+                f"{val_open}{val_sep.join(y if val_body is None else map(val_body, y))}"
                 f"{p_open}{q.numerator if d == 1 else f'{q.numerator}/{d}'}{p_close}"
             )
         write(
-            f"{sep}{row_open}{in_list(x)}"
+            f"{sep}{row_open}{in_sep.join(x if in_body is None else map(in_body, x))}"
             f"{row_out}{entry_sep.join(entries)}{row_close}"
         )
         sep = "," + i2
@@ -265,34 +233,11 @@ def obj_from_json(doc: Any, where: str = "obj") -> Obj:
 # -- kernels ----------------------------------------------------------------
 
 
-_KERNEL_KEYS = ("dom", "cod", "rows")
+@dataclass(frozen=True, slots=True)
+class KernelJSON:
+    """A kernel placed in a payload for to_text; see the module docstring."""
 
-
-class KernelJSON(Mapping):
-    """A kernel as a read-only JSON object; see the module docstring.
-
-    Every read renders the kernel with to_text and parses the text back,
-    so it returns fresh plain values and agrees with the text byte for
-    byte.  Reads are for tests and small payloads; writing goes through
-    to_text, which reads k.rows directly.
-    """
-
-    __slots__ = ("kernel",)
-
-    def __init__(self, kernel: SubKernel) -> None:
-        self.kernel = kernel
-
-    def __getitem__(self, key: str) -> Any:
-        return json.loads(to_text(self))[key]
-
-    def __iter__(self):
-        return iter(_KERNEL_KEYS)
-
-    def __len__(self) -> int:
-        return len(_KERNEL_KEYS)
-
-    def __repr__(self) -> str:
-        return f"KernelJSON({self.kernel!r})"
+    kernel: SubKernel
 
 
 def kernel_to_json(k: SubKernel) -> KernelJSON:
@@ -300,8 +245,6 @@ def kernel_to_json(k: SubKernel) -> KernelJSON:
 
 
 def kernel_from_json(doc: Any, where: str = "kernel") -> SubKernel:
-    if type(doc) is KernelJSON:
-        return doc.kernel
     dom = obj_from_json(_require(doc, "dom", list, where), where + ".dom")
     cod = obj_from_json(_require(doc, "cod", list, where), where + ".cod")
     rows_doc = _require(doc, "rows", list, where)
@@ -489,16 +432,10 @@ def problem_from_json(doc: Any) -> E.DecisionProblem:
     actions = alphabet_from_json(
         _require(doc, "actions", dict, where), where + ".actions"
     )
-
-    def kernel_at(key: str) -> SubKernel:
-        value = doc.get(key)
-        if type(value) is KernelJSON:
-            return value.kernel
-        return kernel_from_json(_require(doc, key, dict, where), f"{where}.{key}")
-
-    environment = kernel_at("environment")
-    agent = kernel_at("agent")
-    consequence = kernel_at("consequence")
+    environment, agent, consequence = (
+        kernel_from_json(_require(doc, key, dict, where), f"{where}.{key}")
+        for key in ("environment", "agent", "consequence")
+    )
     utilities_doc = _require(doc, "utilities", dict, where)
     utilities = {
         label: parse_fraction(value) for label, value in utilities_doc.items()

@@ -229,7 +229,7 @@ def solve(problem: DecisionProblem) -> Prescription:
 def _check_unit_interval(**params) -> dict[str, Fraction]:
     out = {}
     for name, value in params.items():
-        q = Fraction(value)
+        q = value if isinstance(value, Fraction) else K.parse_fraction(value)
         if not 0 <= q <= 1:
             raise BadParameter(f"{name} = {q} outside [0, 1]")
         out[name] = q

@@ -30,18 +30,20 @@ unitors are literal identities.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import lcm
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     BadSplit,
     NegativeProbability,
     RowMassExceedsOne,
+    SchemaError,
     TypeMismatch,
     UnknownLabel,
 )
@@ -151,13 +153,48 @@ class SubKernel:
         return f"SubKernel({self.dom!r} -> {self.cod!r}, {len(self.rows)} rows)"
 
 
+# The rational strings of README "File formats": [sign] int ["/" int],
+# or a decimal with digits on at least one side of the point, with
+# whitespace around, in ASCII digits and whitespace only.  It is checked
+# before Fraction() reads the string, so the grammar is the same on
+# every Python: Fraction() also reads "_" between digits (from 3.11),
+# spaces around "/" (from 3.12), exponents and non-ASCII digits, and
+# "1e-10000000", 11 characters, would build a 33-million-bit
+# denominator.  No run of digits may be longer than Python's default
+# int conversion limit, 4300 digits: Fraction() works on a long decimal
+# in time superlinear in its length before int() refuses it.
+_DIGITS = r"\d{1,4300}"
+_RATIONAL = re.compile(
+    rf"\s*[+-]?(?:{_DIGITS}(?:/{_DIGITS})?|{_DIGITS}\.\d{{0,4300}}|\.{_DIGITS})\s*",
+    re.ASCII,
+)
+
+
+def parse_fraction(value: Any) -> Fraction:
+    """An int, or a string in the _RATIONAL grammar; anything else,
+    bools and floats included, raises SchemaError."""
+    if isinstance(value, bool):
+        raise SchemaError(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise SchemaError(f"not a rational: {value!r}")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"not a rational: {value!r}") from exc
+    raise SchemaError(f"not a rational: {value!r}")
+
+
 def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
     """Build a validated kernel from a nested mapping.
 
     Keys may be bare labels when the corresponding object has a single
-    factor.  Probabilities may be Fraction, int, or strings like "3/4".
-    Raises NegativeProbability, RowMassExceedsOne (naming the offending
-    input tuple), or UnknownLabel.
+    factor.  Probabilities may be Fraction, int, or strings like "3/4"
+    (see parse_fraction).  Raises SchemaError on any other probability,
+    NegativeProbability, RowMassExceedsOne (naming the offending input
+    tuple), or UnknownLabel.
     """
     rows: dict[Outcome, Row] = {}
     # Output tuples already checked against cod: each is checked once.
@@ -171,7 +208,7 @@ def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
             else:
                 y = _as_outcome(y_raw, cod, "output")
                 outputs.add(y)
-            p = p_raw if isinstance(p_raw, Fraction) else Fraction(p_raw)
+            p = p_raw if isinstance(p_raw, Fraction) else parse_fraction(p_raw)
             if p.numerator < 0:
                 raise NegativeProbability(
                     f"entry ({x!r} -> {y!r}) has negative probability {p}"

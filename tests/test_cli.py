@@ -225,7 +225,8 @@ def test_normalise_command(tmp_path, capsys):
 
 
 def test_normalise_rejects_negative_entry_hidden_by_repeat(tmp_path, capsys):
-    doc = dict(codec.kernel_to_json(state(BO, {"f": Fraction(1, 2)})))
+    k = state(BO, {"f": Fraction(1, 2)})
+    doc = json.loads(codec.to_text(codec.kernel_to_json(k)))
     doc["rows"][0]["out"] += [
         {"val": ["t"], "p": "-1/2"},
         {"val": ["t"], "p": "1/2"},

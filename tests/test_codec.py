@@ -61,7 +61,10 @@ def test_fraction_parsing():
     "text",
     # Fraction() reads the exponents, and "1e-10000000" alone took about
     # 13 s; it reads "1_000/3" from Python 3.11 and "1 / 2" from 3.12.
-    ["1e-10000000", "1E5", "2.5e-1", "1e0", "1_000/3", "1 / 2", "1/ 2", "1/-2", ".", "+"],
+    ["1e-10000000", "1E5", "2.5e-1", "1e0", "1_000/3", "1 / 2", "1/ 2", "1/-2", ".", "+"]
+    # Fraction() reads non-ASCII digits and whitespace too; the grammar
+    # is ASCII only.
+    + ["\u0663/\u0664", "\uff11/\uff12", "\xa01/2", "1/2\u2003"],
 )
 def test_strings_outside_the_rational_grammar_are_refused(text):
     start = time.perf_counter()
@@ -138,7 +141,7 @@ def test_kernel_round_trip_preserves_value():
     f = K.make_kernel(
         BO, BO, {"t": {"t": Fraction(1, 2), "f": Fraction(1, 4)}, "f": {"f": 1}}
     )
-    doc = codec.kernel_to_json(f)
+    doc = json.loads(codec.to_text(codec.kernel_to_json(f)))
     assert codec.kernel_from_json(doc) == f
 
 
@@ -156,11 +159,11 @@ def test_kernel_emission_is_canonical_and_stable():
 
 def test_kernel_rows_sorted_lexicographically():
     f = K.make_kernel(BO, BO, {"t": {"f": Fraction(1, 2)}, "f": {"t": 1}})
-    doc = codec.kernel_to_json(f)
+    doc = json.loads(codec.to_text(codec.kernel_to_json(f)))
     assert [r["in"] for r in doc["rows"]] == [["f"], ["t"]]
     # Entries within a row are sorted too, not written in insertion order.
     g = K.make_kernel(BO, BO, {"t": {"t": Fraction(1, 3), "f": Fraction(2, 3)}})
-    [row] = codec.kernel_to_json(g)["rows"]
+    [row] = json.loads(codec.to_text(codec.kernel_to_json(g)))["rows"]
     assert [e["val"] for e in row["out"]] == [["f"], ["t"]]
 
 
@@ -483,7 +486,7 @@ def test_term_unknown_references():
 def test_env_round_trip_and_conflicts():
     alphabets = {"bool": B}
     kernels = {"coin": coin()}
-    doc = codec.env_to_json(alphabets, kernels)
+    doc = json.loads(codec.to_text(codec.env_to_json(alphabets, kernels)))
     back_alpha, back_kernels = codec.env_from_json(doc)
     assert back_alpha == alphabets
     assert back_kernels == kernels
@@ -499,7 +502,8 @@ def test_env_round_trip_and_conflicts():
 
 
 def test_env_collects_alphabets_from_kernels():
-    doc = {"kernels": {"coin": codec.kernel_to_json(coin())}}
+    payload = {"kernels": {"coin": codec.kernel_to_json(coin())}}
+    doc = json.loads(codec.to_text(payload))
     alphabets, kernels = codec.env_from_json(doc)
     assert alphabets == {"bool": B}
     assert kernels["coin"] == coin()
@@ -519,7 +523,7 @@ def test_problem_round_trip_byte_identical():
 
 
 def test_problem_from_json_runs_validation():
-    doc = codec.problem_to_json(edt.newcomb())
+    doc = json.loads(codec.to_text(codec.problem_to_json(edt.newcomb())))
     del doc["utilities"]["1000"]
     with pytest.raises(UnknownLabel):
         codec.problem_from_json(doc)

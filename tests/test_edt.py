@@ -7,6 +7,7 @@ resulting conditional expected utilities exactly.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from pmc.errors import (
     BadParameter,
     NoFeasibleAction,
     NotTotal,
+    SchemaError,
     UndefinedUtility,
     UnknownAction,
 )
@@ -164,6 +166,20 @@ def test_newcomb_predictor_noise_degrades_one_boxing():
 def test_newcomb_noise_parameter_validated():
     with pytest.raises(BadParameter):
         edt.newcomb(F(3, 2))
+
+
+def test_newcomb_noise_is_read_as_a_rational():
+    assert edt.newcomb("999/2000") == edt.newcomb(F(999, 2000))
+    assert edt.newcomb(1) == edt.newcomb(F(1))
+
+
+@pytest.mark.parametrize("noise", [0.1, True, "x", "1e-10000000"])
+def test_newcomb_noise_outside_the_rational_grammar_is_refused(noise):
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        edt.newcomb(noise)
+    assert str(err.value) == f"not a rational: {noise!r}"
+    assert time.perf_counter() - start < 0.5
 
 
 def test_transparent_newcomb_still_one_boxes():

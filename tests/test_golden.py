@@ -1,37 +1,33 @@
 """Byte-for-byte golden outputs: the CLI, scripts/solve_corpus.py,
 scripts/newcomb_noise_sweep.py and the random kernel generators.
 
-Every file under tests/golden/ except the eval inputs (*_env.json,
-dense_chain.json, wide_tensor.json, unit_cod.json, all_fail.json,
-partial_chain.json, tensor_steps.json, tensor_product.json,
-mixed_labels.json) is an output, pinned so that a change to parsing,
-arithmetic or emission cannot alter a byte unnoticed.  Regenerating one
-is a deliberate act:
+eval_pairs.txt lists the eval goldens, one "term env" pair per line:
+pmc eval reads <term>.json in the environment <env>.json and writes
+<term>.out.json.  Every other file under tests/golden/ except the eval
+inputs is an output, pinned so that a change to parsing, arithmetic or
+emission cannot alter a byte unnoticed.  Regenerating one is a
+deliberate act:
 
     pmc laws --cases 50 --seed 7 [--format json]  > laws_50_seed7.{txt,json}
     python scripts/solve_corpus.py [--format json] > solve_corpus.{tsv,json}
     python scripts/newcomb_noise_sweep.py --steps 4 > newcomb_sweep_steps4.tsv
     python scripts/newcomb_noise_sweep.py --noise 999/2000 --noise 1/3 \
         > newcomb_sweep_noise.tsv
-    pmc eval dense_chain.json --env dense_env.json > dense_chain.out.json
-    pmc eval wide_tensor.json --env wide_env.json > wide_tensor.out.json
-    pmc eval unit_cod.json --env unit_env.json > unit_cod.out.json
-    pmc eval all_fail.json --env unit_env.json > all_fail.out.json
-    pmc eval partial_chain.json --env partial_env.json > partial_chain.out.json
-    pmc eval tensor_steps.json --env tensor_env.json > tensor_steps.out.json
-    pmc eval tensor_product.json --env tensor_env.json > tensor_product.out.json
-    pmc eval mixed_labels.json --env mixed_env.json > mixed_labels.out.json
+    while read -r term env; do
+        pmc eval $term.json --env $env.json > $term.out.json
+    done < eval_pairs.txt
     pmc corpus newcomb > corpus_newcomb.json
 
-After dense_chain they cover a tensor of wiring and a unit-domain
-generator, a unit codomain with labels json escapes, a kernel that
-always fails, a partial generator followed by comparators, observations
-and discards, bare and between Ids, a chain whose steps are Tensors of
-comparators, of Ids only, of two generators (one partial), of a nested
-Compose, and of an observation beside a Copy, a top-level tensor of a
-partial generator, a second generator, a Copy and a Swap, a plain
-domain beside a codomain of plain and escaped labels whose rows were
-declared out of order, and kernels nested in a problem.
+After dense_chain the eval pairs cover a tensor of wiring and a
+unit-domain generator, a unit codomain with labels json escapes, a
+kernel that always fails, a partial generator followed by comparators,
+observations and discards, bare and between Ids, a chain whose steps
+are Tensors of comparators, of Ids only, of two generators (one
+partial), of a nested Compose, and of an observation beside a Copy, a
+top-level tensor of a partial generator, a second generator, a Copy
+and a Swap, and a plain domain beside a codomain of plain and escaped
+labels whose rows were declared out of order; corpus_newcomb.json
+holds kernels nested in a problem.
 
 and random_kernels.txt is the text random_kernels_text() below returns.
 """
@@ -62,6 +58,16 @@ def _script_main(name):
     return module.main
 
 
+EVAL_PAIRS = [
+    line.split() for line in (GOLDEN / "eval_pairs.txt").read_text("utf-8").splitlines()
+]
+
+
+def _eval(term, env):
+    argv = ["eval", str(GOLDEN / f"{term}.json"), "--env", str(GOLDEN / f"{env}.json")]
+    return argv, f"{term}.out.json"
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [
@@ -70,61 +76,21 @@ def _script_main(name):
             ["laws", "--cases", "50", "--seed", "7", "--format", "json"],
             "laws_50_seed7.json",
         ),
-        *(
-            (
-                ["eval", str(GOLDEN / f"{term}.json"), "--env", str(GOLDEN / env)],
-                f"{term}.out.json",
-            )
-            for term, env in (
-                ("dense_chain", "dense_env.json"),
-                ("wide_tensor", "wide_env.json"),
-                ("unit_cod", "unit_env.json"),
-                ("all_fail", "unit_env.json"),
-            )
-        ),
+        *(_eval(term, env) for term, env in EVAL_PAIRS[:4]),
         (["corpus", "newcomb"], "corpus_newcomb.json"),
         # Last, so that the parameter ids above keep their numbers.
-        (
-            [
-                "eval",
-                str(GOLDEN / "partial_chain.json"),
-                "--env",
-                str(GOLDEN / "partial_env.json"),
-            ],
-            "partial_chain.out.json",
-        ),
-        (
-            [
-                "eval",
-                str(GOLDEN / "tensor_steps.json"),
-                "--env",
-                str(GOLDEN / "tensor_env.json"),
-            ],
-            "tensor_steps.out.json",
-        ),
-        (
-            [
-                "eval",
-                str(GOLDEN / "tensor_product.json"),
-                "--env",
-                str(GOLDEN / "tensor_env.json"),
-            ],
-            "tensor_product.out.json",
-        ),
-        (
-            [
-                "eval",
-                str(GOLDEN / "mixed_labels.json"),
-                "--env",
-                str(GOLDEN / "mixed_env.json"),
-            ],
-            "mixed_labels.out.json",
-        ),
+        *(_eval(term, env) for term, env in EVAL_PAIRS[4:]),
     ],
 )
 def test_cli_output_matches_golden(argv, golden, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text("utf-8")
+
+
+def test_every_eval_golden_is_in_the_pair_list():
+    assert sorted(p.name for p in GOLDEN.glob("*.out.json")) == sorted(
+        f"{term}.out.json" for term, _ in EVAL_PAIRS
+    )
 
 
 @pytest.mark.parametrize(

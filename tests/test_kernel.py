@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -15,6 +16,7 @@ from pmc.errors import (
     BadSplit,
     NegativeProbability,
     RowMassExceedsOne,
+    SchemaError,
     TypeMismatch,
     UnknownLabel,
 )
@@ -41,6 +43,17 @@ def test_make_kernel_accepts_bare_labels_and_strings():
     assert f.prob("t", "f") == Fraction(1, 4)
     assert f.prob("f", "f") == 1
     assert f.prob("f", "t") == 0
+
+
+@pytest.mark.parametrize("p", [0.1, True, "x", "1e-10000000"])
+def test_make_kernel_reads_probabilities_as_parse_fraction_does(p):
+    # Fraction() would store 0.1 as 3602879701896397/36028797018963968,
+    # True as 1, and spend seconds on the exponent.
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        bk({"t": {"t": p}})
+    assert str(err.value) == f"not a rational: {p!r}"
+    assert time.perf_counter() - start < 0.5
 
 
 def test_make_kernel_drops_zero_entries_and_empty_rows():

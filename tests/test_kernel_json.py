@@ -1,5 +1,5 @@
 """kernel_to_json's KernelJSON: the writer against json.dumps, and the
-read-only view's contract."""
+parsers' refusal of it."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from hypothesis import example, given
 
 from pmc import codec, edt, laws
 from pmc import kernel as K
+from pmc.errors import SchemaError
 from pmc.kernel import Alphabet, UNIT, obj
 
 # Labels that json escapes: quotes, backslash, control characters and
@@ -171,50 +172,37 @@ def test_writer_matches_json_dumps_at_every_depth(k):
     ],
 )
 def test_label_lists_join_bare_labels_only_where_every_label_is_plain(at, plain):
-    # The one-join path never looks a label up, so it writes a label that
-    # at does not declare; the per-label path refuses it.
-    text = '[\n  "zz",\n  "t"\n]'
-    write = codec._label_list(at, "\n")
+    # The bare labels are joined as they are; body looks each label up,
+    # so it refuses one that at does not declare.
+    head, sep, tail, body = codec._label_list(at, "\n")
+    assert head + sep.join(("zz", "t")) + tail == '[\n  "zz",\n  "t"\n]'
     if plain:
-        assert write(("zz", "t")) == text
+        assert body is None
     else:
         with pytest.raises(KeyError):
-            write(("zz", "t"))
-
-
-@pytest.mark.parametrize("k", _EXAMPLES)
-def test_view_reads_as_the_plain_json_object(k):
-    p = codec.kernel_to_json(k)
-    plain = _plain(k)
-    assert p == plain and plain == p
-    assert list(p) == ["dom", "cod", "rows"] and len(p) == 3
-    assert p["rows"] == plain["rows"]
-    assert "rows" in p and "val" not in p
-    with pytest.raises(KeyError):
-        p["val"]
-    assert codec.kernel_from_json(p) == k
-    assert p == codec.kernel_to_json(k)
-
-
-def test_view_reads_are_fresh_and_writes_are_refused():
-    k = _EXAMPLES[0]
-    p = codec.kernel_to_json(k)
-    p["rows"].clear()
-    p["dom"].append("junk")
-    assert p == _plain(k)
-    with pytest.raises(TypeError):
-        p["rows"] = []
-    with pytest.raises(TypeError):
-        del p["rows"]
-
-    doc = dict(p)
-    assert type(doc) is dict and doc == _plain(k)
-    doc["rows"][0]["out"].pop()
-    assert p == _plain(k)
-    assert codec.kernel_from_json(doc) != k
+            body("zz")
 
 
 def test_problems_round_trip_through_views():
+    # problem_to_json's payload holds its kernels as views; to_text
+    # writes them and problem_from_json reads the text back.
     for build in edt.CORPUS.values():
         problem = build()
-        assert codec.problem_from_json(codec.problem_to_json(problem)) == problem
+        doc = json.loads(codec.to_text(codec.problem_to_json(problem)))
+        assert codec.problem_from_json(doc) == problem
+
+
+def test_parsers_refuse_a_kernel_view():
+    k = _EXAMPLES[0]
+    with pytest.raises(SchemaError) as err:
+        codec.kernel_from_json(codec.kernel_to_json(k))
+    assert str(err.value) == "kernel: missing key 'dom'"
+
+    with pytest.raises(SchemaError) as err:
+        codec.problem_from_json(codec.problem_to_json(edt.newcomb()))
+    assert str(err.value) == "problem.environment: expected dict, got KernelJSON"
+
+    coin = K.make_kernel(UNIT, obj(B), {(): {"t": Fraction(1, 2)}})
+    with pytest.raises(SchemaError) as err:
+        codec.env_from_json(codec.env_to_json({"bool": B}, {"coin": coin}))
+    assert str(err.value) == "env.kernels[coin]: missing key 'dom'"

@@ -90,7 +90,7 @@ def test_random_kernel_deterministic_and_golden():
     a = laws.random_kernel(42, BO, BO, Fraction(3, 4))
     b = laws.random_kernel(42, BO, BO, Fraction(3, 4))
     assert a == b
-    assert codec.kernel_to_json(a) == GOLDEN_42
+    assert json.loads(codec.to_text(codec.kernel_to_json(a))) == GOLDEN_42
 
 
 def test_random_kernel_validates():
@@ -201,8 +201,9 @@ def test_mutated_compare_breaks_frobenius(monkeypatch):
         if laws.REGISTRY["frobenius"](laws._stable_rng("law", "frobenius", 7, i))
     )
     # Counterexample kernels replay through the CLI kernel schema.
-    lhs = codec.kernel_from_json(cx["lhs"])
-    rhs = codec.kernel_from_json(cx["rhs"])
+    doc = json.loads(codec.to_text(cx))
+    lhs = codec.kernel_from_json(doc["lhs"])
+    rhs = codec.kernel_from_json(doc["rhs"])
     assert lhs != rhs
 
 
@@ -264,5 +265,6 @@ def test_mutated_action_grouping_breaks_solver_law(monkeypatch):
     assert report.failures > 0
     cx = report.counterexample
     # The counterexample problem replays through the CLI problem schema.
-    problem = codec.problem_from_json(cx["problem"])
-    assert codec.problem_to_json(problem) == cx["problem"]
+    text = codec.to_text(cx["problem"])
+    problem = codec.problem_from_json(json.loads(text))
+    assert codec.to_text(codec.problem_to_json(problem)) == text

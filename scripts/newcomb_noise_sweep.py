@@ -60,7 +60,7 @@ def write_report(noise: list[str] | None, steps: int) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=10, help="grid steps")
     parser.add_argument(
@@ -74,7 +74,11 @@ def main(argv=None) -> int:
 
     if args.noise is None and args.steps < 1:
         parser.error("--steps must be at least 1")
-    return cli.guarded(lambda: write_report(args.noise, args.steps))
+    return write_report(args.noise, args.steps)
+
+
+def main(argv=None) -> int:
+    return cli.guarded(lambda: run(argv))
 
 
 if __name__ == "__main__":

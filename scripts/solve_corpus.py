@@ -32,7 +32,7 @@ def write_prescriptions(names: list[str], fmt: str) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "names",
@@ -46,7 +46,11 @@ def main(argv=None) -> int:
     unknown = [n for n in names if n not in edt.CORPUS]
     if unknown:
         parser.error(f"unknown problem(s): {', '.join(unknown)}")
-    return cli.guarded(lambda: write_prescriptions(names, args.format))
+    return write_prescriptions(names, args.format)
+
+
+def main(argv=None) -> int:
+    return cli.guarded(lambda: run(argv))
 
 
 if __name__ == "__main__":

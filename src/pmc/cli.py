@@ -198,17 +198,23 @@ def _run(args) -> int:
 
 
 def guarded(body: Callable[[], int]) -> int:
-    """Run an entry point's work and return its exit status.
+    """Run an entry point's work, argument parsing included, and return
+    its exit status.
 
     body returns the status on success.  A PmcError becomes
     "error: <Code>: <message>" on standard error and status 1, or 2 for
-    InferenceUndefined.  A reader that closed standard output early is
-    not an error: the status is 0.
+    InferenceUndefined.  A usage error is status 1 and --help status 0.
+    A reader that closed standard output early is not an error: the
+    status is 0.
     """
     try:
         code = body()
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
         return code
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors; our exit 2 is reserved for
+        # inference-undefined results, so remap usage problems to 1.
+        return 0 if exc.code in (0, None) else 1
     except BrokenPipeError:
         # The reader stopped early (`pmc eval ... | head`): that is not an
         # error.  Point stdout at devnull so the flush at exit cannot fail.
@@ -223,14 +229,7 @@ def guarded(body: Callable[[], int]) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; our exit 2 is reserved for
-        # inference-undefined results, so remap usage problems to 1.
-        return 0 if exc.code in (0, None) else 1
-    return guarded(lambda: _run(args))
+    return guarded(lambda: _run(_build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

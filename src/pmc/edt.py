@@ -33,6 +33,7 @@ from .errors import (
 from .kernel import (
     Alphabet,
     Obj,
+    Outcome,
     SubKernel,
     UNIT,
     make_kernel,
@@ -162,14 +163,24 @@ def expected_utility(
 ) -> Fraction:
     """Exact expected utility of a subdistribution over utility labels,
     conditioned on success; raises UndefinedUtility at mass zero."""
-    row = utility_state.row(())
+    _, eu = _mass_and_value(utility_state.row(()), utilities)
+    if eu is None:
+        raise UndefinedUtility("state has zero mass")
+    return eu
+
+
+def _mass_and_value(
+    row: Mapping[Outcome, Fraction], utilities: Mapping[str, Fraction]
+) -> tuple[Fraction, Optional[Fraction]]:
+    """A utility row's mass, and its expected utility conditioned on
+    success, or None at mass zero."""
     mass = sum(row.values(), Fraction(0))
     if mass == 0:
-        raise UndefinedUtility("state has zero mass")
+        return mass, None
     total = sum(
         (p * Fraction(utilities[y[0]]) for y, p in row.items()), Fraction(0)
     )
-    return total / mass
+    return mass, total / mass
 
 
 @dataclass(frozen=True)
@@ -202,16 +213,9 @@ def solve(problem: DecisionProblem) -> Prescription:
     table = []
     best: Optional[Fraction] = None
     for a in problem.actions.labels:
-        # expected_utility's two sums, each once: mass is entry and divisor.
-        row = by_action.row((a,))
-        mass = sum(row.values(), Fraction(0))
-        if mass == 0:
-            table.append(ActionValue(a, mass, None))
-            continue
-        utility = (p * Fraction(problem.utilities[y[0]]) for y, p in row.items())
-        eu = sum(utility, Fraction(0)) / mass
+        mass, eu = _mass_and_value(by_action.row((a,)), problem.utilities)
         table.append(ActionValue(a, mass, eu))
-        if best is None or eu > best:
+        if eu is not None and (best is None or eu > best):
             best = eu
     if best is None:
         raise NoFeasibleAction(

@@ -12,10 +12,9 @@ order and sums each row keyed by those numbers; make_kernel checks each
 distinct output tuple against the codomain once per call.  compose also
 whiskers: compose(f, g, at=k) is f ; (id (x) g (x) id) with g reading
 the codomain factors of f from the k-th on, and no identity kernel is
-built or multiplied through.  tensor takes any number of factors and
-multiplies them out in one pass that builds no intermediate kernel;
-its rows and entries keep the order a left fold of binary products
-would give them.
+built or multiplied through.  tensor multiplies any number of factors
+out as balanced binary products, in the row and entry order a left
+fold of binary products would give, and never multiplies by ONE.
 
 This module is the only one that reads or builds rows.  The rest of
 the package works through compose, tensor, deterministic (the kernel of
@@ -33,9 +32,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from types import MappingProxyType
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
@@ -51,8 +49,6 @@ from .errors import (
 Outcome = tuple[str, ...]
 Row = dict[Outcome, Fraction]
 IntRow = tuple[int, list[tuple[int, int]]]
-# A row as _times builds it: (x, [(y, p, p == 1), ...]).
-FlatRow = tuple[Outcome, list[tuple[Outcome, Fraction, bool]]]
 PartialFn = Callable[[Outcome], Optional[Outcome]]  # None where undefined
 
 
@@ -88,10 +84,7 @@ class Obj:
 
     @property
     def size(self) -> int:
-        n = 1
-        for a in self.factors:
-            n *= len(a.labels)
-        return n
+        return prod(len(a.labels) for a in self.factors)
 
     def __repr__(self) -> str:
         if not self.factors:
@@ -192,15 +185,20 @@ def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
 
     Keys may be bare labels when the corresponding object has a single
     factor.  Probabilities may be Fraction, int, or strings like "3/4"
-    (see parse_fraction).  Raises SchemaError on any other probability,
-    NegativeProbability, RowMassExceedsOne (naming the offending input
-    tuple), or UnknownLabel.
+    (see parse_fraction).  Raises SchemaError on any other probability
+    or on two keys that name one input, NegativeProbability,
+    RowMassExceedsOne (naming the offending input tuple), or
+    UnknownLabel.
     """
     rows: dict[Outcome, Row] = {}
     # Output tuples already checked against cod: each is checked once.
     outputs: set[Outcome] = set()
+    inputs: set[Outcome] = set()  # rows holds only the nonempty rows
     for x_raw, row_raw in table.items():
         x = _as_outcome(x_raw, dom, "input")
+        if x in inputs:
+            raise SchemaError(f"duplicate input {x!r}")
+        inputs.add(x)
         acc: Row = {}
         for y_raw, p_raw in row_raw.items():
             if type(y_raw) is tuple and y_raw in outputs:
@@ -234,7 +232,9 @@ def state(cod: Obj, dist: Mapping) -> SubKernel:
     return make_kernel(UNIT, cod, {(): dist})
 
 
-ONE = Fraction(1)  # every deterministic entry: one shared, immutable value
+# Every deterministic entry: one shared, immutable value, which tensor
+# recognises by identity and never multiplies by.
+ONE = Fraction(1)
 
 
 def deterministic(dom: Obj, cod: Obj, fn: PartialFn) -> SubKernel:
@@ -400,56 +400,41 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
     return SubKernel(f.dom, cod, rows)
 
 
-_UNIT_ROWS: tuple[FlatRow, ...] = (((), [((), ONE, True)]),)  # the empty product
-
-
-def _times(done: Sequence[FlatRow], k: SubKernel) -> list[FlatRow]:
-    """The rows of done (x) k, as done's are given: flat lists, no row
-    dict built.  Where one of two factors of an entry is 1, the other
-    is kept without multiplying."""
-    return [
-        (x0 + x, [
-            (y0 + y, q if one0 else p if q == 1 else p * q, one0 and q == 1)
-            for y0, p, one0 in e0
-            for y, q in r.items()
-        ])
-        for x0, e0 in done
-        for x, r in k.rows.items()
-    ]
+def _product(ks: Sequence[SubKernel]) -> SubKernel:
+    """ks[0] (x) ks[1] (x) ...: ks[0] alone, or the product of its two
+    halves' products, each half's rows listed once as (x, entries).
+    With factors of like size, each half holds about the square root of
+    the result's entries, so the halves cost little beside the result."""
+    if len(ks) == 1:
+        return ks[0]
+    cut = (len(ks) + 1) // 2
+    left, right = _product(ks[:cut]), _product(ks[cut:])
+    rows0, rows = (
+        [(x, list(r.items())) for x, r in k.rows.items()] for k in (left, right)
+    )
+    return SubKernel(
+        left.dom.tensor(right.dom),
+        left.cod.tensor(right.cod),
+        {
+            x0 + x: {
+                y0 + y: q if p is ONE else p if q is ONE else p * q
+                for y0, p in e0
+                for y, q in e
+            }
+            for x0, e0 in rows0
+            for x, e in rows
+        },
+    )
 
 
 def tensor(f: SubKernel, *gs: SubKernel) -> SubKernel:
-    """Parallel composition f (x) g1 (x) g2 ... on concatenated tuples.
-
-    One pass, with no intermediate kernel: the factors are cut into a
-    left and a right half, each half is multiplied out as flat lists
-    (see _times), and the left's entries times the right's are written
-    straight into the result's rows.  With factors of like size, each
-    half holds about the square root of the result's entries, so the
-    halves cost little beside the result.  Rows and entries come out in
-    the order a left fold of binary products gives: each factor's own
-    order, the leftmost factor outermost.  Where an entry is 1, as in
-    every structural map, the other factor of a product, already a
-    reduced Fraction, is stored without multiplying.
-    """
-    ks = (f, *gs)
-    cut = (len(ks) + 1) // 2
-    left, right = (
-        reduce(_times, half, _UNIT_ROWS) for half in (ks[:cut], ks[cut:])
-    )
-    return SubKernel(
-        Obj(tuple(a for k in ks for a in k.dom.factors)),
-        Obj(tuple(a for k in ks for a in k.cod.factors)),
-        {
-            x0 + x: {
-                y0 + y: q if one0 else p if one else p * q
-                for y0, p, one0 in e0
-                for y, q, one in e
-            }
-            for x0, e0 in left
-            for x, e in right
-        },
-    )
+    """Parallel composition f (x) g1 (x) g2 ... on concatenated tuples,
+    multiplied out as balanced binary products (see _product).  Rows and
+    entries come out in a left fold's order: each factor's own order,
+    the leftmost factor outermost.  Where an entry is ONE, as in every
+    structural map, the other entry is stored without multiplying; an
+    entry equal to 1 that is not ONE is multiplied, which is exact."""
+    return _product((f, *gs))
 
 
 def normalise(f: SubKernel) -> SubKernel:

@@ -185,6 +185,26 @@ def test_scripts_exit_0_when_the_reader_closes_the_pipe(script):
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "script",
+    [
+        ["solve_corpus.py", "nope"],
+        ["newcomb_noise_sweep.py", "--steps", "0"],
+        ["newcomb_noise_sweep.py", "--steps", "x"],
+    ],
+)
+def test_scripts_exit_1_on_usage_errors(script):
+    # argparse's own status, 2, would read as InferenceUndefined.
+    path = Path(__file__).parent.parent / "scripts" / script[0]
+    proc = subprocess.run(
+        [sys.executable, str(path), *script[1:]],
+        env=src_env(), capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"usage:")
+
+
 def test_eval_deep_compose_exits_1_without_traceback(tmp_path, capsys):
     # Each compose holds the next as its only term: 3000 levels of nesting.
     leaf = '{"op": "id", "obj": ["bit"]}'

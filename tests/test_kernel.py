@@ -20,6 +20,7 @@ from pmc.errors import (
     TypeMismatch,
     UnknownLabel,
 )
+from pmc.diagram import Copy, Gen, Id, Swap, Tensor, evaluate
 from pmc.kernel import Alphabet, Obj, SubKernel, UNIT, make_kernel, obj
 from pmc.laws import REGISTRY, check_law
 
@@ -89,6 +90,14 @@ def test_make_kernel_sums_keys_naming_one_outcome():
     assert all(
         type(q) is Fraction for row in f.rows.values() for q in row.values()
     )
+
+
+@pytest.mark.parametrize("first", [{"t": 1}, {}, {"f": 0}])
+def test_make_kernel_rejects_keys_naming_one_input(first):
+    # As kernel_from_json refuses a repeated "in".  An empty or all-zero
+    # first row is never stored, and is refused all the same.
+    with pytest.raises(SchemaError, match=r"^duplicate input \('t',\)$"):
+        bk({"t": first, ("t",): {"f": 1}})
 
 
 def test_make_kernel_rejects_unknown_labels():
@@ -502,6 +511,27 @@ def test_tensor_matches_naive_product(fs):
     for x, row in h.rows.items():
         assert list(row) == list(expected[x])
         assert all(type(q) is Fraction for q in row.values())
+
+
+def test_tensor_multiplies_no_entry_by_one(monkeypatch):
+    # g's entries are not 1, and each meets only the shared ONE of a
+    # structural map, on its left or on its right: no product multiplies.
+    y = obj(Alphabet("three", ("x", "y", "z")))
+    g = make_kernel(BO, y, {
+        "t": {"x": Fraction(1, 4), "z": HALF}, "f": {"y": Fraction(2, 3)},
+    })
+    ks = [K.copy(BO), K.swap(BO, y), g, K.identity(y)]
+    term = Tensor(Copy(BO), Swap(BO, y), Gen("g", g), Id(y))
+    naive = reduce(naive_tensor_rows, (k.rows for k in ks))
+
+    def refuse(self, other):
+        raise AssertionError(f"multiplied {self} by {other}")
+
+    monkeypatch.setattr(Fraction, "__mul__", refuse)
+    monkeypatch.setattr(Fraction, "__rmul__", refuse)
+    for h in (K.tensor(*ks), evaluate(term)):
+        assert h.rows == naive
+        assert list(h.rows) == list(naive)
 
 
 # -- row primitives ----------------------------------------------------------

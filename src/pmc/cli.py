@@ -27,7 +27,7 @@ from .errors import InferenceUndefined, PmcError, SchemaError, TermTooDeep
 def _load_json(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -45,7 +45,7 @@ def _cmd_eval(args) -> int:
     )
     term = codec.term_from_json(_load_json(args.diagram), alphabets, kernels)
     infer_type(term)
-    codec.write_text(codec.kernel_to_json(evaluate(term)), sys.stdout.write)
+    codec.write_text(evaluate(term), sys.stdout.write)
     return 0
 
 
@@ -65,13 +65,13 @@ def _cmd_invert(args) -> int:
     channel = _load_kernel(args.channel)
     prior = _load_kernel(args.prior)
     inverse = bayes_invert(channel, prior)
-    codec.write_text(codec.kernel_to_json(inverse), sys.stdout.write)
+    codec.write_text(inverse, sys.stdout.write)
     return 0
 
 
 def _cmd_normalise(args) -> int:
     normalised = normalise(_load_kernel(args.kernel))
-    codec.write_text(codec.kernel_to_json(normalised), sys.stdout.write)
+    codec.write_text(normalised, sys.stdout.write)
     return 0
 
 
@@ -83,7 +83,7 @@ def _cmd_update(args) -> int:
         posterior = pearl_update(prior, channel, evidence)
     else:
         posterior = jeffrey_update(prior, channel, evidence)
-    codec.write_text(codec.kernel_to_json(posterior), sys.stdout.write)
+    codec.write_text(posterior, sys.stdout.write)
     return 0
 
 

@@ -4,10 +4,10 @@ Emission is canonical — factors in declared order, rows and outputs in
 lexicographic label order, rationals as reduced "num/den" (plain
 integers allowed) — so emit -> parse -> emit is byte-identical.
 
-kernel_to_json returns a KernelJSON: a kernel placed in a payload, which
-write_text (and to_text, which joins its pieces) writes straight from
-the kernel's rows, with no payload tree in between.  It is write-only:
-the parsers read JSON documents, never a KernelJSON.  Each label's
+A payload holds a SubKernel as itself: write_text (and to_text, which
+joins its pieces) writes it as its JSON object straight from the
+kernel's rows, with no payload tree in between, and kernel_to_json(k)
+is k.  The parsers read JSON documents, never a kernel.  Each label's
 quoted text is made once per kernel, from the labels its domain and
 codomain declare.  Where every label of the domain (or codomain) is
 plain, json writes it as itself in quotes, so an outcome's list is its
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -46,8 +45,9 @@ def to_text(payload: Any) -> str:
     The text is json.dumps's indent-2 text plus a newline, byte for
     byte, written directly because json's indent path is pure Python.
     Only the JSON subset pmc emits is accepted: dicts with str keys,
-    lists, tuples, str, int, bool, None and KernelJSON.  Anything else,
-    floats and Fractions included, raises TypeError.
+    lists, tuples, str, int, bool, None and SubKernel, which is written
+    as its JSON object.  Anything else, floats and Fractions included,
+    raises TypeError.
     """
     out: list[str] = []
     write_text(payload, out.append)
@@ -83,8 +83,8 @@ def _write(value: Any, nl: str, write: Callable[[str], Any]) -> None:
             _write(item, inner, write)
             sep = "," + inner
         write(nl + "}")
-    elif kind is KernelJSON:
-        _write_kernel(value.kernel, nl, write)
+    elif kind is SubKernel:
+        _write_kernel(value, nl, write)
     elif kind is list or kind is tuple:
         if not value:
             write("[]")
@@ -132,7 +132,7 @@ def _label_list(
 
 
 def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
-    """_write for a KernelJSON: the text of {"dom", "cod", "rows"} at
+    """_write for a SubKernel: the text of {"dom", "cod", "rows"} at
     indentation nl, written from k.rows with fixed templates.
 
     Rows and entries go out in sorted order; a row of one entry has
@@ -233,15 +233,9 @@ def obj_from_json(doc: Any, where: str = "obj") -> Obj:
 # -- kernels ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class KernelJSON:
-    """A kernel placed in a payload for to_text; see the module docstring."""
-
-    kernel: SubKernel
-
-
-def kernel_to_json(k: SubKernel) -> KernelJSON:
-    return KernelJSON(k)
+def kernel_to_json(k: SubKernel) -> SubKernel:
+    """k itself: a payload holds a kernel as it is (see to_text)."""
+    return k
 
 
 def kernel_from_json(doc: Any, where: str = "kernel") -> SubKernel:
@@ -288,7 +282,7 @@ def env_to_json(
         "alphabets": [
             alphabet_to_json(alphabets[n]) for n in sorted(alphabets)
         ],
-        "kernels": {n: kernel_to_json(kernels[n]) for n in sorted(kernels)},
+        "kernels": {n: kernels[n] for n in sorted(kernels)},
     }
 
 
@@ -416,9 +410,9 @@ def problem_to_json(p: E.DecisionProblem) -> dict:
     return {
         "name": p.name,
         "actions": alphabet_to_json(p.actions),
-        "environment": kernel_to_json(p.environment),
-        "agent": kernel_to_json(p.agent),
-        "consequence": kernel_to_json(p.consequence),
+        "environment": p.environment,
+        "agent": p.agent,
+        "consequence": p.consequence,
         "utilities": {
             u: format_fraction(p.utilities[u])
             for u in p.consequence.cod.factors[0].labels
@@ -436,10 +430,7 @@ def problem_from_json(doc: Any) -> E.DecisionProblem:
         kernel_from_json(_require(doc, key, dict, where), f"{where}.{key}")
         for key in ("environment", "agent", "consequence")
     )
-    utilities_doc = _require(doc, "utilities", dict, where)
-    utilities = {
-        label: parse_fraction(value) for label, value in utilities_doc.items()
-    }
+    utilities = _require(doc, "utilities", dict, where)
     return E.DecisionProblem(
         name, actions, environment, agent, consequence, utilities
     )

@@ -49,7 +49,8 @@ class DecisionProblem:
     environment : I -> C (x) O   (hidden condition and observation)
     agent       : O -> A         (policy; A is the action alphabet)
     consequence : C (x) A -> U   (utility-labelled outcomes; may fail)
-    utilities   : exact value of each label of U
+    utilities   : exact value of each label of U, each read by
+                  parse_fraction and stored as a Fraction
     """
 
     name: str
@@ -60,6 +61,9 @@ class DecisionProblem:
     utilities: dict[str, Fraction]
 
     def __post_init__(self) -> None:
+        # Read first, so a bad utility is the first fault a reader meets.
+        utilities = {u: K.parse_fraction(v) for u, v in self.utilities.items()}
+        object.__setattr__(self, "utilities", utilities)
         a_obj = obj(self.actions)
         if self.environment.dom != UNIT:
             raise TypeMismatch("environment must be a state")
@@ -162,7 +166,8 @@ def expected_utility(
     utility_state: SubKernel, utilities: Mapping[str, Fraction]
 ) -> Fraction:
     """Exact expected utility of a subdistribution over utility labels,
-    conditioned on success; raises UndefinedUtility at mass zero."""
+    conditioned on success, with utilities as DecisionProblem stores
+    them (Fractions); raises UndefinedUtility at mass zero."""
     _, eu = _mass_and_value(utility_state.row(()), utilities)
     if eu is None:
         raise UndefinedUtility("state has zero mass")
@@ -177,9 +182,7 @@ def _mass_and_value(
     mass = sum(row.values(), Fraction(0))
     if mass == 0:
         return mass, None
-    total = sum(
-        (p * Fraction(utilities[y[0]]) for y, p in row.items()), Fraction(0)
-    )
+    total = sum((p * utilities[y[0]] for y, p in row.items()), Fraction(0))
     return mass, total / mass
 
 
@@ -233,7 +236,7 @@ def solve(problem: DecisionProblem) -> Prescription:
 def _check_unit_interval(**params) -> dict[str, Fraction]:
     out = {}
     for name, value in params.items():
-        q = value if isinstance(value, Fraction) else K.parse_fraction(value)
+        q = K.parse_fraction(value)
         if not 0 <= q <= 1:
             raise BadParameter(f"{name} = {q} outside [0, 1]")
         out[name] = q

@@ -164,8 +164,11 @@ _RATIONAL = re.compile(
 
 
 def parse_fraction(value: Any) -> Fraction:
-    """An int, or a string in the _RATIONAL grammar; anything else,
+    """The one reader of a caller's or a file's rational: a Fraction, as
+    it is, an int, or a string in the _RATIONAL grammar; anything else,
     bools and floats included, raises SchemaError."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool):
         raise SchemaError(f"not a rational: {value!r}")
     if isinstance(value, int):
@@ -206,7 +209,7 @@ def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
             else:
                 y = _as_outcome(y_raw, cod, "output")
                 outputs.add(y)
-            p = p_raw if isinstance(p_raw, Fraction) else parse_fraction(p_raw)
+            p = parse_fraction(p_raw)
             if p.numerator < 0:
                 raise NegativeProbability(
                     f"entry ({x!r} -> {y!r}) has negative probability {p}"

@@ -122,9 +122,10 @@ def random_kernel(seed: int, dom: Obj, cod: Obj, density) -> SubKernel:
 
     Deterministic in (seed, dom, cod, density); each row mass is a
     rational <= 1 with denominator <= 64, and roughly a `density`
-    fraction of all entries is nonzero.
+    fraction of all entries is nonzero.  density is read by
+    parse_fraction; outside [0, 1] it raises BadDensity.
     """
-    density = Fraction(density)
+    density = K.parse_fraction(density)
     if not 0 <= density <= 1:
         raise BadDensity(f"density {density} outside [0, 1]")
     rng = _stable_rng(
@@ -173,16 +174,12 @@ def _rand_point(rng: Random, at: Obj) -> tuple[str, ...]:
 
 
 def _as_payload(value):
-    if isinstance(value, SubKernel):
-        return codec.kernel_to_json(value)
     if isinstance(value, Fraction):
         return codec.format_fraction(value)
     if isinstance(value, Obj):
         return codec.obj_to_json(value)
     if isinstance(value, E.DecisionProblem):
         return codec.problem_to_json(value)
-    if isinstance(value, tuple):
-        return list(value)
     return value
 
 

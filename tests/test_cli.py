@@ -232,6 +232,22 @@ def test_eval_missing_file_exits_1(tmp_path, capsys):
     assert "SchemaError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("at", ["diagram", "env", "normalise"])
+def test_a_file_that_is_not_utf8_exits_1(tmp_path, capsys, at):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    term = write_json(tmp_path / "t.json", {"op": "id", "obj": []})
+    argv = {
+        "diagram": ["eval", str(bad)],
+        "env": ["eval", term, "--env", str(bad)],
+        "normalise": ["normalise", str(bad)],
+    }[at]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: SchemaError: cannot read {bad}: ")
+    assert "Traceback" not in err
+
+
 # -- normalise / invert / update --------------------------------------------
 
 

@@ -16,6 +16,7 @@ from pmc import codec, edt, laws
 from pmc import diagram as D
 from pmc import kernel as K
 from pmc.errors import (
+    BadDensity,
     NegativeProbability,
     PmcError,
     RowMassExceedsOne,
@@ -92,6 +93,47 @@ def test_digit_runs_up_to_the_int_limit_are_read():
     assert codec.parse_fraction("9" * 4300) == n
     assert codec.parse_fraction(f"1/{n}") == Fraction(1, n)
     assert codec.parse_fraction("0." + "9" * 4300) == Fraction(n, n + 1)
+
+
+def _newcomb_paying(value) -> edt.DecisionProblem:
+    """edt.newcomb() with the value of its "1000" label replaced."""
+    p = edt.newcomb()
+    utilities = {**p.utilities, "1000": value}
+    return edt.DecisionProblem(
+        p.name, p.actions, p.environment, p.agent, p.consequence, utilities
+    )
+
+
+def _density(value) -> K.SubKernel:
+    return laws.random_kernel(3, BO, BO, value)
+
+
+@pytest.mark.parametrize("read", [_newcomb_paying, _density])
+@pytest.mark.parametrize("value", [0.1, True, "x", "1e-10000000"])
+def test_utilities_and_densities_are_read_by_parse_fraction(read, value):
+    # Fraction() would read 0.1 as 3602879701896397/36028797018963968
+    # and True as 1, raise a bare ValueError on "x", and spend seconds
+    # on the exponent.
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        read(value)
+    assert str(err.value) == f"not a rational: {value!r}"
+    assert time.perf_counter() - start < 0.5
+
+
+def test_utilities_and_densities_are_read_exactly():
+    for value, exact in [("1/3", Fraction(1, 3)), (3, Fraction(3))]:
+        stored = _newcomb_paying(value).utilities["1000"]
+        assert stored == exact and type(stored) is Fraction
+    assert edt.solve(_newcomb_paying("1/3")).table == edt.solve(
+        _newcomb_paying(Fraction(1, 3))
+    ).table
+    for value, exact in [("1/3", Fraction(1, 3)), (1, Fraction(1))]:
+        assert _density(value) == _density(exact)
+    with pytest.raises(BadDensity):
+        _density("3/2")
+    q = Fraction(2, 3)
+    assert codec.parse_fraction(q) is q
 
 
 # -- the indent-2 writer ----------------------------------------------------

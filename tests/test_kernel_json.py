@@ -1,5 +1,5 @@
-"""kernel_to_json's KernelJSON: the writer against json.dumps, and the
-parsers' refusal of it."""
+"""Kernels in payloads: a payload holds a SubKernel as itself, the
+writer against json.dumps, and the parsers' refusal of a kernel."""
 
 from __future__ import annotations
 
@@ -126,6 +126,12 @@ _EXAMPLES = [
 def test_writer_matches_json_dumps_at_every_depth(k):
     plain = _plain(k)
     assert codec.to_text(codec.kernel_to_json(k)) == _dumps(plain)
+    # A payload holds a kernel as itself, at any depth.
+    assert codec.kernel_to_json(k) is k
+    assert codec.to_text(k) == _dumps(plain)
+    assert codec.to_text({"k": k, "nested": [k, {"again": (k,)}]}) == _dumps(
+        {"k": plain, "nested": [plain, {"again": [plain]}]}
+    )
 
     names = {a.name: a for a in k.dom.factors + k.cod.factors}
     env = codec.env_to_json(names, {"k": k, "again": k})
@@ -184,7 +190,7 @@ def test_label_lists_join_bare_labels_only_where_every_label_is_plain(at, plain)
 
 
 def test_problems_round_trip_through_views():
-    # problem_to_json's payload holds its kernels as views; to_text
+    # problem_to_json's payload holds its kernels as they are; to_text
     # writes them and problem_from_json reads the text back.
     for build in edt.CORPUS.values():
         problem = build()
@@ -200,7 +206,7 @@ def test_parsers_refuse_a_kernel_view():
 
     with pytest.raises(SchemaError) as err:
         codec.problem_from_json(codec.problem_to_json(edt.newcomb()))
-    assert str(err.value) == "problem.environment: expected dict, got KernelJSON"
+    assert str(err.value) == "problem.environment: expected dict, got SubKernel"
 
     coin = K.make_kernel(UNIT, obj(B), {(): {"t": Fraction(1, 2)}})
     with pytest.raises(SchemaError) as err:

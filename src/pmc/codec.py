@@ -331,27 +331,35 @@ def _resolve_obj(
     return Obj(tuple(factors))
 
 
+# Each wiring op's node class, and the JSON keys of the node's fields in
+# order: objects, as lists of alphabet names, and an observed point.
+_WIRING_OPS = {
+    "id": (D.Id, ("obj",)),
+    "copy": (D.Copy, ("obj",)),
+    "discard": (D.Discard, ("obj",)),
+    "compare": (D.Compare, ("obj",)),
+    "swap": (D.Swap, ("left", "right")),
+    "observe": (D.Observe, ("obj", "point")),
+}
+_WIRING_OP_OF = {cls: op for op, (cls, _) in _WIRING_OPS.items()}
+
+
 def term_to_json(term: D.Term) -> dict:
     match term:
         case D.Gen(name, _):
             return {"op": "gen", "name": name}
-        case D.Id(x):
-            return {"op": "id", "obj": _obj_names(x)}
-        case D.Copy(x):
-            return {"op": "copy", "obj": _obj_names(x)}
-        case D.Discard(x):
-            return {"op": "discard", "obj": _obj_names(x)}
-        case D.Compare(x):
-            return {"op": "compare", "obj": _obj_names(x)}
-        case D.Swap(x, y):
-            return {"op": "swap", "left": _obj_names(x), "right": _obj_names(y)}
-        case D.Observe(x, point):
-            return {"op": "observe", "obj": _obj_names(x), "point": list(point)}
         case D.Compose(terms):
             return {"op": "compose", "terms": [term_to_json(t) for t in terms]}
         case D.Tensor(terms):
             return {"op": "tensor", "terms": [term_to_json(t) for t in terms]}
-    raise SchemaError(f"not a term: {term!r}")
+    op = _WIRING_OP_OF.get(type(term))
+    if op is None:
+        raise SchemaError(f"not a term: {term!r}")
+    doc = {"op": op}
+    for key in _WIRING_OPS[op][1]:
+        value = getattr(term, key)
+        doc[key] = list(value) if key == "point" else _obj_names(value)
+    return doc
 
 
 def term_from_json(
@@ -366,30 +374,17 @@ def term_from_json(
         if name not in kernels:
             raise SchemaError(f"{where}: unknown kernel {name!r}")
         return D.Gen(name, kernels[name])
-    if op in ("id", "copy", "discard", "compare"):
-        x = _resolve_obj(
-            _require(doc, "obj", list, where), alphabets, where + ".obj"
-        )
-        return {
-            "id": D.Id,
-            "copy": D.Copy,
-            "discard": D.Discard,
-            "compare": D.Compare,
-        }[op](x)
-    if op == "swap":
-        left = _resolve_obj(
-            _require(doc, "left", list, where), alphabets, where + ".left"
-        )
-        right = _resolve_obj(
-            _require(doc, "right", list, where), alphabets, where + ".right"
-        )
-        return D.Swap(left, right)
-    if op == "observe":
-        x = _resolve_obj(
-            _require(doc, "obj", list, where), alphabets, where + ".obj"
-        )
-        point = _str_list(_require(doc, "point", list, where), where + ".point")
-        return D.Observe(x, tuple(point))
+    if op in _WIRING_OPS:
+        node, keys = _WIRING_OPS[op]
+        fields = []
+        for key in keys:
+            value, at = _require(doc, key, list, where), f"{where}.{key}"
+            fields.append(
+                tuple(_str_list(value, at))
+                if key == "point"
+                else _resolve_obj(value, alphabets, at)
+            )
+        return node(*fields)
     if op in ("compose", "tensor"):
         terms_doc = _require(doc, "terms", list, where)
         if not terms_doc:

@@ -10,6 +10,11 @@ diagram, evaluates and normalises it once, and bends that single joint
 into a kernel A -> U: its row at an action is the action's utility
 state, which is what observing the action with an observation node
 yields.  Exact expected utilities of those states rank the actions.
+
+The built-in problems (CORPUS) are built the same way: from states,
+channels joined to the state they read (cond_compose, graph), and the
+kernels of partial functions (deterministic) for each payoff table and
+for an agent that follows its disposition.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import kernel as K
-from .conditioning import normalise
+from .conditioning import cond_compose, normalise
 from .diagram import Compose, Copy, Gen, Id, Tensor, Term, evaluate
 from .errors import (
     BadParameter,
@@ -64,18 +69,17 @@ class DecisionProblem:
         # Read first, so a bad utility is the first fault a reader meets.
         utilities = {u: K.parse_fraction(v) for u, v in self.utilities.items()}
         object.__setattr__(self, "utilities", utilities)
-        a_obj = obj(self.actions)
         if self.environment.dom != UNIT:
             raise TypeMismatch("environment must be a state")
-        if self.agent.cod != a_obj:
+        if self.agent.cod != self.action_obj:
             raise TypeMismatch("agent codomain must be the action alphabet")
         obs = self.agent.dom.factors
         c_factors = self.environment.cod.factors
-        if obs and c_factors[len(c_factors) - len(obs):] != obs:
+        if c_factors[len(c_factors) - len(obs):] != obs:
             raise TypeMismatch(
                 "environment codomain must end with the observation object"
             )
-        if self.consequence.dom != self.condition_obj.tensor(a_obj):
+        if self.consequence.dom != self.condition_obj.tensor(self.action_obj):
             raise TypeMismatch(
                 "consequence domain must be condition (x) actions"
             )
@@ -100,7 +104,7 @@ class DecisionProblem:
     def condition_obj(self) -> Obj:
         n_obs = len(self.agent.dom.factors)
         c = self.environment.cod.factors
-        return Obj(c[: len(c) - n_obs] if n_obs else c)
+        return Obj(c[: len(c) - n_obs])
 
     @property
     def action_obj(self) -> Obj:
@@ -243,6 +247,26 @@ def _check_unit_interval(**params) -> dict[str, Fraction]:
     return out
 
 
+def _uniform(at: Obj) -> SubKernel:
+    """The uniform state on at."""
+    p = Fraction(1, at.size)
+    return state(at, {x: p for x in at.outcomes()})
+
+
+def _face_values(payout: Alphabet) -> dict[str, Fraction]:
+    """Utilities that give each payout label the number it names."""
+    return {u: Fraction(u) for u in payout.labels}
+
+
+def _bernoulli(dom: Obj, cod: Alphabet, *ps: Fraction) -> SubKernel:
+    """The kernel dom -> cod, cod having two labels, whose row at dom's
+    i-th outcome gives the first label ps[i] and the second the rest."""
+    yes, no = cod.labels
+    return make_kernel(
+        dom, obj(cod), {x: {yes: p, no: 1 - p} for x, p in zip(dom.outcomes(), ps)}
+    )
+
+
 def newcomb(predictor_noise: Fraction | int | str = 0) -> DecisionProblem:
     """Two boxes, a predictor, and a payoff kernel that succeeds only
     when the prediction matches the action.
@@ -258,25 +282,25 @@ def newcomb(predictor_noise: Fraction | int | str = 0) -> DecisionProblem:
     actions = Alphabet("action", ("one-box", "two-box"))
     prediction = Alphabet("prediction", ("one-box", "two-box"))
     payout = Alphabet("payout", ("1000", "0", "1001", "1"))
+    # (prediction, action) -> payout
     payoff = {
         ("one-box", "one-box"): "1000",
-        ("two-box", "one-box"): "0",
         ("one-box", "two-box"): "1001",
+        ("two-box", "one-box"): "0",
         ("two-box", "two-box"): "1",
     }
-    environment = state(
-        obj(prediction), {p: Fraction(1, 2) for p in prediction.labels}
+    consequence = make_kernel(
+        obj(prediction, actions),
+        obj(payout),
+        {(p, a): {u: 1 - eps if p == a else eps} for (p, a), u in payoff.items()},
     )
-    agent = state(obj(actions), {a: Fraction(1, 2) for a in actions.labels})
-    table = {
-        (p, a): {payoff[(p, a)]: (1 - eps if p == a else eps)}
-        for p in prediction.labels
-        for a in actions.labels
-    }
-    consequence = make_kernel(obj(prediction, actions), obj(payout), table)
-    utilities = {u: Fraction(u) for u in payout.labels}
     return DecisionProblem(
-        "newcomb", actions, environment, agent, consequence, utilities
+        "newcomb",
+        actions,
+        _uniform(obj(prediction)),
+        _uniform(obj(actions)),
+        consequence,
+        _face_values(payout),
     )
 
 
@@ -284,23 +308,14 @@ def transparent_newcomb() -> DecisionProblem:
     """Newcomb with a transparent box: the agent observes the prediction
     itself, yet conditioning still favours taking one box."""
     base = newcomb()
-    prediction = base.environment.cod.factors[0]
-    actions = base.actions
-    # The observation wire carries a copy of the prediction.
-    environment = K.compose(base.environment, K.copy(obj(prediction)))
-    agent = make_kernel(
-        obj(prediction),
-        obj(actions),
-        {
-            p: {a: Fraction(1, 2) for a in actions.labels}
-            for p in prediction.labels
-        },
-    )
+    prediction = base.environment.cod
+    # The observation wire carries a copy of the prediction, which the
+    # agent discards before drawing an action uniformly.
     return DecisionProblem(
         "transparent-newcomb",
-        actions,
-        environment,
-        agent,
+        base.actions,
+        K.compose(base.environment, K.copy(prediction)),
+        K.compose(K.discard(prediction), base.agent),
         base.consequence,
         dict(base.utilities),
     )
@@ -312,48 +327,62 @@ def monty_hall() -> DecisionProblem:
     door = Alphabet("door", ("1", "2", "3"))
     actions = Alphabet("action", ("stay", "switch"))
     payout = Alphabet("payout", ("1000", "0"))
-    doors = door.labels
-    env_row: dict = {}
-    for prize in doors:
-        for pick in doors:
-            options = [d for d in doors if d != prize and d != pick]
-            for opened in options:
-                env_row[(prize, pick, opened)] = Fraction(1, 9 * len(options))
-    environment = state(obj(door, door, door), env_row)
-    agent = state(obj(actions), {a: Fraction(1, 2) for a in actions.labels})
-    cons_table = {}
-    for prize in doors:
-        for pick in doors:
-            for opened in doors:
-                remaining = [d for d in doors if d != pick and d != opened]
-                # opened == pick never occurs under the environment; default
-                # to the first remaining door so the kernel stays total.
-                switched = remaining[0] if remaining else pick
-                for a in actions.labels:
-                    final = pick if a == "stay" else switched
-                    label = "1000" if final == prize else "0"
-                    cons_table[(prize, pick, opened, a)] = {label: 1}
-    consequence = make_kernel(
-        obj(door, door, door, actions), obj(payout), cons_table
-    )
-    utilities = {u: Fraction(u) for u in payout.labels}
+    prize_pick = obj(door, door)
+    # The host opens, uniformly, a door that is neither the prize nor the pick.
+    host = {}
+    for x in prize_pick.outcomes():
+        options = [d for d in door.labels if d not in x]
+        host[x] = {d: Fraction(1, len(options)) for d in options}
+
+    def result(x: Outcome) -> Outcome:
+        prize, pick, opened, a = x
+        if a == "switch":
+            # opened == pick never occurs under the environment; there the
+            # first other door is taken, so the kernel stays total.
+            pick = next(d for d in door.labels if d not in (pick, opened))
+        return ("1000",) if pick == prize else ("0",)
+
     return DecisionProblem(
-        "monty-hall", actions, environment, agent, consequence, utilities
+        "monty-hall",
+        actions,
+        cond_compose(_uniform(prize_pick), make_kernel(prize_pick, obj(door), host)),
+        _uniform(obj(actions)),
+        K.deterministic(obj(door, door, door, actions), obj(payout), result),
+        _face_values(payout),
     )
 
 
 _CITIES = ("damascus", "aleppo")
+_CITY_OF = {"stay": "damascus", "flee": "aleppo"}
+_DEATH_PAYOUT = Alphabet("payout", ("1000", "999", "0", "-1"))
 
 
-def _meet_payout(agent_city: str, death_city: str, printed_table: bool) -> str:
-    """Payoff label for ending in agent_city while Death waits in
+def _meet_payout(agent_city: str, death_city: str, printed_table: bool) -> Outcome:
+    """Payoff outcome for ending in agent_city while Death waits in
     death_city.  printed_table selects the variant whose meeting payoffs
     are swapped between the two cities."""
-    if agent_city == death_city:
-        if printed_table:
-            return "0" if agent_city == "aleppo" else "-1"
-        return "0" if agent_city == "damascus" else "-1"
-    return "1000" if agent_city == "damascus" else "999"
+    in_damascus = agent_city == "damascus"
+    if agent_city != death_city:
+        return ("1000",) if in_damascus else ("999",)
+    return ("0",) if in_damascus != printed_table else ("-1",)
+
+
+def _death_problem(
+    name: str, actions: Alphabet, death: SubKernel, consequence: SubKernel
+) -> DecisionProblem:
+    """A Death in Damascus problem: the disposition is drawn uniformly,
+    Death's channel reads it, and the environment keeps the disposition
+    beside what Death drew (its graph) as the agent's observation; the
+    agent acts on its disposition."""
+    disposition = death.dom
+    return DecisionProblem(
+        name,
+        actions,
+        K.compose(_uniform(disposition), K.graph(death)),
+        K.deterministic(disposition, obj(actions), lambda d: d),
+        consequence,
+        _face_values(_DEATH_PAYOUT),
+    )
 
 
 def death_in_damascus(printed_table: bool = False) -> DecisionProblem:
@@ -362,26 +391,14 @@ def death_in_damascus(printed_table: bool = False) -> DecisionProblem:
     disposition = Alphabet("disposition", ("stay", "flee"))
     actions = Alphabet("action", ("stay", "flee"))
     city = Alphabet("city", _CITIES)
-    payout = Alphabet("payout", ("1000", "999", "0", "-1"))
-    city_of = {"stay": "damascus", "flee": "aleppo"}
-    env_row = {(city_of[d], d): Fraction(1, 2) for d in disposition.labels}
-    environment = state(obj(city, disposition), env_row)
-    agent = make_kernel(
-        obj(disposition), obj(actions), {d: {d: 1} for d in disposition.labels}
+    death = K.deterministic(obj(disposition), obj(city), lambda d: (_CITY_OF[d[0]],))
+    consequence = K.deterministic(
+        obj(city, actions),
+        obj(_DEATH_PAYOUT),
+        lambda x: _meet_payout(_CITY_OF[x[1]], x[0], printed_table),
     )
-    cons_table = {}
-    for death_city in _CITIES:
-        for a in actions.labels:
-            label = _meet_payout(city_of[a], death_city, printed_table)
-            cons_table[(death_city, a)] = {label: 1}
-    consequence = make_kernel(obj(city, actions), obj(payout), cons_table)
-    utilities = {u: Fraction(u) for u in payout.labels}
-    name = "death-in-damascus"
-    if printed_table:
-        name += "-printed-table"
-    return DecisionProblem(
-        name, actions, environment, agent, consequence, utilities
-    )
+    name = "death-in-damascus" + ("-printed-table" if printed_table else "")
+    return _death_problem(name, actions, death, consequence)
 
 
 def death_in_damascus_coin(
@@ -395,54 +412,35 @@ def death_in_damascus_coin(
     merchant_coin and death_coin give the probability that the
     respective coin sends its owner to Damascus.
     """
-    params = _check_unit_interval(
+    mc, dc = _check_unit_interval(
         merchant_coin=merchant_coin, death_coin=death_coin
-    )
-    mc, dc = params["merchant_coin"], params["death_coin"]
+    ).values()
     disposition = Alphabet("disposition", ("stay", "flee", "use-coin"))
     actions = Alphabet("action", ("stay", "flee", "use-coin"))
     city = Alphabet("city", _CITIES)
     coin = Alphabet("coin", ("heads", "tails"))
-    payout = Alphabet("payout", ("1000", "999", "0", "-1"))
-    death_city_dist = {
-        "stay": {"damascus": Fraction(1)},
-        "flee": {"aleppo": Fraction(1)},
-        "use-coin": {"damascus": dc, "aleppo": 1 - dc},
-    }
-    coin_dist = {"heads": mc, "tails": 1 - mc}
-    env_row: dict = {}
-    for d in disposition.labels:
-        for death_city, pd in death_city_dist[d].items():
-            for face, pf in coin_dist.items():
-                w = Fraction(1, 3) * pd * pf
-                if w:
-                    env_row[(death_city, face, d)] = w
-    environment = state(obj(city, coin, disposition), env_row)
-    agent = make_kernel(
-        obj(disposition), obj(actions), {d: {d: 1} for d in disposition.labels}
+    # Death's city given the disposition, beside the merchant's coin.
+    death = K.tensor(
+        make_kernel(
+            obj(disposition),
+            obj(city),
+            {
+                "stay": {"damascus": 1},
+                "flee": {"aleppo": 1},
+                "use-coin": {"damascus": dc, "aleppo": 1 - dc},
+            },
+        ),
+        _bernoulli(UNIT, coin, mc),
     )
-    cons_table = {}
-    for death_city in _CITIES:
-        for face in coin.labels:
-            for a in actions.labels:
-                if a == "stay":
-                    agent_city = "damascus"
-                elif a == "flee":
-                    agent_city = "aleppo"
-                else:
-                    agent_city = "damascus" if face == "heads" else "aleppo"
-                label = _meet_payout(agent_city, death_city, False)
-                cons_table[(death_city, face, a)] = {label: 1}
-    consequence = make_kernel(obj(city, coin, actions), obj(payout), cons_table)
-    utilities = {u: Fraction(u) for u in payout.labels}
-    return DecisionProblem(
-        "death-in-damascus-coin",
-        actions,
-        environment,
-        agent,
-        consequence,
-        utilities,
-    )
+
+    def meet(x: Outcome) -> Outcome:
+        death_city, face, a = x
+        if a == "use-coin":
+            a = "stay" if face == "heads" else "flee"
+        return _meet_payout(_CITY_OF[a], death_city, False)
+
+    consequence = K.deterministic(obj(city, coin, actions), obj(_DEATH_PAYOUT), meet)
+    return _death_problem("death-in-damascus-coin", actions, death, consequence)
 
 
 def smoking_lesion(
@@ -455,59 +453,35 @@ def smoking_lesion(
     """A hidden gene causes both cancer and the desire to smoke; smoking
     itself is harmless.  Conditioning on the action still penalises
     smoking whenever the desire carries information about the gene."""
-    params = _check_unit_interval(
+    g, dg, dn, sd, sn = _check_unit_interval(
         gene_prior=gene_prior,
         desire_given_gene=desire_given_gene,
         desire_given_no_gene=desire_given_no_gene,
         smoke_given_desire=smoke_given_desire,
         smoke_given_no_desire=smoke_given_no_desire,
-    )
-    g = params["gene_prior"]
+    ).values()
+    # The gene produces cancer deterministically, so the cancer wire is
+    # the gene wire under another name.
     cancer = Alphabet("cancer", ("yes", "no"))
     desire = Alphabet("desire", ("yes", "no"))
     actions = Alphabet("action", ("smoke", "refrain"))
     payout = Alphabet("payout", ("-999", "1", "-1000", "0"))
-    desire_dist = {
-        "yes": params["desire_given_gene"],
-        "no": params["desire_given_no_gene"],
-    }
-    env_row: dict = {}
-    # The gene produces cancer deterministically, so the cancer wire is
-    # the gene wire under another name.
-    for gene, pg in (("yes", g), ("no", 1 - g)):
-        dd = desire_dist[gene]
-        for d, pd in (("yes", dd), ("no", 1 - dd)):
-            w = pg * pd
-            if w:
-                env_row[(gene, d)] = w
-    environment = state(obj(cancer, desire), env_row)
-    smoke_dist = {
-        "yes": params["smoke_given_desire"],
-        "no": params["smoke_given_no_desire"],
-    }
-    agent = make_kernel(
-        obj(desire),
-        obj(actions),
-        {
-            d: {"smoke": smoke_dist[d], "refrain": 1 - smoke_dist[d]}
-            for d in desire.labels
-        },
+    environment = cond_compose(
+        _bernoulli(UNIT, cancer, g), _bernoulli(obj(cancer), desire, dg, dn)
     )
     payoff = {
-        ("smoke", "yes"): "-999",
-        ("smoke", "no"): "1",
-        ("refrain", "yes"): "-1000",
-        ("refrain", "no"): "0",
+        ("yes", "smoke"): ("-999",),
+        ("no", "smoke"): ("1",),
+        ("yes", "refrain"): ("-1000",),
+        ("no", "refrain"): ("0",),
     }
-    cons_table = {
-        (c, a): {payoff[(a, c)]: 1}
-        for c in cancer.labels
-        for a in actions.labels
-    }
-    consequence = make_kernel(obj(cancer, actions), obj(payout), cons_table)
-    utilities = {u: Fraction(u) for u in payout.labels}
     return DecisionProblem(
-        "smoking-lesion", actions, environment, agent, consequence, utilities
+        "smoking-lesion",
+        actions,
+        environment,
+        _bernoulli(obj(desire), actions, sd, sn),
+        K.deterministic(obj(cancer, actions), obj(payout), payoff.__getitem__),
+        _face_values(payout),
     )
 
 

@@ -16,7 +16,12 @@ deliberate act:
     while read -r term env; do
         pmc eval $term.json --env $env.json > $term.out.json
     done < eval_pairs.txt
-    pmc corpus newcomb > corpus_newcomb.json
+    for name in newcomb transparent-newcomb monty-hall death-in-damascus \
+            death-in-damascus-coin smoking-lesion; do
+        pmc corpus $name > corpus_$name.json
+    done
+    pmc corpus death-in-damascus --printed-table \
+        > corpus_death-in-damascus-printed-table.json
 
 After dense_chain the eval pairs cover a tensor of wiring and a
 unit-domain generator, a unit codomain with labels json escapes, a
@@ -26,8 +31,8 @@ are Tensors of comparators, of Ids only, of two generators (one
 partial), of a nested Compose, and of an observation beside a Copy, a
 top-level tensor of a partial generator, a second generator, a Copy
 and a Swap, and a plain domain beside a codomain of plain and escaped
-labels whose rows were declared out of order; corpus_newcomb.json
-holds kernels nested in a problem.
+labels whose rows were declared out of order.  The corpus_*.json files
+hold every built-in decision problem, kernels nested in a problem.
 
 and random_kernels.txt is the text random_kernels_text() below returns.
 """
@@ -78,8 +83,22 @@ def _eval(term, env):
         ),
         *(_eval(term, env) for term, env in EVAL_PAIRS[:4]),
         (["corpus", "newcomb"], "corpus_newcomb.json"),
-        # Last, so that the parameter ids above keep their numbers.
+        # Later, so that the parameter ids above keep their numbers.
         *(_eval(term, env) for term, env in EVAL_PAIRS[4:]),
+        *(
+            (["corpus", name], f"corpus_{name}.json")
+            for name in (
+                "transparent-newcomb",
+                "monty-hall",
+                "death-in-damascus",
+                "death-in-damascus-coin",
+                "smoking-lesion",
+            )
+        ),
+        (
+            ["corpus", "death-in-damascus", "--printed-table"],
+            "corpus_death-in-damascus-printed-table.json",
+        ),
     ],
 )
 def test_cli_output_matches_golden(argv, golden, capsys):

@@ -14,10 +14,14 @@ plain, json writes it as itself in quotes, so an outcome's list is its
 bare labels joined in one call between fixed quotes and indentation:
 the same bytes, with no lookup per label.
 
-Parsing a kernel checks the schema and every entry's sign for the whole
-document first, parsing each distinct probability string once; then
-make_kernel checks labels and row masses row by row, each distinct
-output tuple once.
+Reading a kernel walks its entries once.  Each row and entry passes
+exact-type tests inline, and each distinct probability string is parsed
+once per document; only a part that fails a test is read again by
+_require and _str_list, which hold every schema message and build its
+location.  So the schema and every entry's sign are checked for the
+whole document first.  The summed table of Fractions then goes to
+make_kernel, which takes each Fraction as it is and checks labels and
+row masses row by row, each distinct output tuple once.
 """
 
 from __future__ import annotations
@@ -242,32 +246,51 @@ def kernel_from_json(doc: Any, where: str = "kernel") -> SubKernel:
     dom = obj_from_json(_require(doc, "dom", list, where), where + ".dom")
     cod = obj_from_json(_require(doc, "cod", list, where), where + ".cod")
     rows_doc = _require(doc, "rows", list, where)
-    # Each distinct probability string is parsed once per document.
-    # Only strings are memoised: as dict keys, True and 1 are one key.
+    # Each distinct probability string is parsed and sign-checked once
+    # per document, so a repeat needs neither.  Only strings are kept:
+    # as dict keys, True and 1 are one key.
     parsed: dict[str, Fraction] = {}
     table: dict = {}
+    # Exact-type tests pass on every well-formed row and entry.  Where
+    # one fails, the part is read again through _require and _str_list,
+    # which raise its fault at its location, or accept it (an int "p").
     for i, row_doc in enumerate(rows_doc):
-        rw = f"{where}.rows[{i}]"
-        x = tuple(_str_list(_require(row_doc, "in", list, rw), rw + ".in"))
+        xs = row_doc.get("in") if type(row_doc) is dict else None
+        if type(xs) is not list or not all(type(v) is str for v in xs):
+            rw = f"{where}.rows[{i}]"
+            xs = _str_list(_require(row_doc, "in", list, rw), rw + ".in")
+        x = tuple(xs)
         if x in table:
-            raise SchemaError(f"{rw}: duplicate input {x!r}")
+            raise SchemaError(f"{where}.rows[{i}]: duplicate input {x!r}")
+        outs = row_doc.get("out")
+        if type(outs) is not list:
+            outs = _require(row_doc, "out", list, f"{where}.rows[{i}]")
         row: dict = {}
-        for j, out_doc in enumerate(_require(row_doc, "out", list, rw)):
-            ow = f"{rw}.out[{j}]"
-            y = tuple(_str_list(_require(out_doc, "val", list, ow), ow + ".val"))
-            value = _require(out_doc, "p", (str, int), ow)
-            if type(value) is str:
-                p = parsed.get(value)
-                if p is None:
-                    p = parsed[value] = parse_fraction(value)
+        for j, out_doc in enumerate(outs):
+            if type(out_doc) is dict:
+                val, p = out_doc.get("val"), out_doc.get("p")
             else:
-                p = parse_fraction(value)
-            if p.numerator < 0:
-                # Checked before repeats are summed, which could cancel it.
-                raise NegativeProbability(
-                    f"entry ({x!r} -> {y!r}) has negative probability {p}"
-                )
-            row[y] = row[y] + p if y in row else p
+                val = p = None
+            if (
+                type(val) is not list
+                or not all(type(v) is str for v in val)
+                or type(p) is not str
+            ):
+                ow = f"{where}.rows[{i}].out[{j}]"
+                val = _str_list(_require(out_doc, "val", list, ow), ow + ".val")
+                p = _require(out_doc, "p", (str, int), ow)
+            y = tuple(val)
+            q = parsed.get(p)
+            if q is None:
+                q = parse_fraction(p)
+                if q.numerator < 0:
+                    # Checked before repeats are summed, which could cancel it.
+                    raise NegativeProbability(
+                        f"entry ({x!r} -> {y!r}) has negative probability {q}"
+                    )
+                if type(p) is str:
+                    parsed[p] = q
+            row[y] = row[y] + q if y in row else q
         table[x] = row
     return make_kernel(dom, cod, table)
 

@@ -9,7 +9,9 @@ row-mass check in make_kernel sum integer numerators over one common
 denominator per row internally, and only the finished row becomes
 Fractions again.  compose numbers the output outcomes in first-seen
 order and sums each row keyed by those numbers; make_kernel checks each
-distinct output tuple against the codomain once per call.  compose also
+distinct output tuple against the codomain once per call, and takes a
+Fraction entry as it is, so the table of Fractions that
+codec.kernel_from_json hands it is not parsed twice.  compose also
 whiskers: compose(f, g, at=k) is f ; (id (x) g (x) id) with g reading
 the codomain factors of f from the k-th on, and no identity kernel is
 built or multiplied through.  tensor multiplies any number of factors
@@ -191,7 +193,12 @@ def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
     (see parse_fraction).  Raises SchemaError on any other probability
     or on two keys that name one input, NegativeProbability,
     RowMassExceedsOne (naming the offending input tuple), or
-    UnknownLabel.
+    UnknownLabel.  Faults are found row by row, and within a row entry
+    by entry: an entry's labels, then its probability, then its sign.
+
+    This is also the last step of codec.kernel_from_json, which hands
+    over a table of Fractions: a Fraction is taken as it is, with no
+    call to parse_fraction.
     """
     rows: dict[Outcome, Row] = {}
     # Output tuples already checked against cod: each is checked once.
@@ -203,18 +210,20 @@ def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
             raise SchemaError(f"duplicate input {x!r}")
         inputs.add(x)
         acc: Row = {}
-        for y_raw, p_raw in row_raw.items():
+        for y_raw, p in row_raw.items():
             if type(y_raw) is tuple and y_raw in outputs:
                 y = y_raw
             else:
                 y = _as_outcome(y_raw, cod, "output")
                 outputs.add(y)
-            p = parse_fraction(p_raw)
-            if p.numerator < 0:
-                raise NegativeProbability(
-                    f"entry ({x!r} -> {y!r}) has negative probability {p}"
-                )
-            if not p.numerator:
+            if type(p) is not Fraction:
+                p = parse_fraction(p)
+            n = p.numerator
+            if n <= 0:  # one test for both, as nearly every entry is positive
+                if n:
+                    raise NegativeProbability(
+                        f"entry ({x!r} -> {y!r}) has negative probability {p}"
+                    )
                 continue
             # Two keys may name one outcome ("t" and ("t",)).
             acc[y] = acc[y] + p if y in acc else p

@@ -273,6 +273,33 @@ def test_normalise_rejects_negative_entry_hidden_by_repeat(tmp_path, capsys):
     assert captured.err.startswith("error: NegativeProbability:")
 
 
+@pytest.mark.parametrize("label", ["x", "zz"])
+def test_normalise_names_a_deep_schema_fault(tmp_path, capsys, label):
+    # Schema faults of the whole file come before labels row by row, so
+    # an unknown label "zz" in row 0 does not hide row 1's missing "p".
+    # The workflow's CLI step runs the same two files.
+    doc = {
+        "dom": [{"name": "b", "labels": ["t", "f"]}],
+        "cod": [{"name": "c", "labels": ["x", "y", "z"]}],
+        "rows": [
+            {"in": ["t"], "out": [{"val": [label], "p": "1"}]},
+            {
+                "in": ["f"],
+                "out": [
+                    {"val": ["x"], "p": "1/4"},
+                    {"val": ["y"], "p": "1/4"},
+                    {"val": ["z"]},
+                ],
+            },
+        ],
+    }
+    path = write_json(tmp_path / "k.json", doc)
+    assert cli.main(["normalise", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: SchemaError: {path}.rows[1].out[2]: missing key 'p'\n"
+
+
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="this Python converts ints of any length",

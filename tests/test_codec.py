@@ -406,6 +406,24 @@ def _mass_above_one(draw, doc):
         row["out"].append({"val": list(vals[0]), "p": "1"})
 
 
+def _wrong_container(draw, doc):
+    """Replace a row, an entry, rows or a row's out with a value of
+    another JSON type: a row or an entry should be an object, rows and
+    out should be lists."""
+    spots = [(doc, "rows")] if "rows" in doc else []
+    rows = doc.get("rows")
+    if isinstance(rows, list):
+        spots += [(rows, i) for i in range(len(rows))]
+    for r in _row_docs(doc):
+        if isinstance(r.get("out"), list):
+            spots += [(r, "out")] + [(r["out"], j) for j in range(len(r["out"]))]
+    spot = _pick(draw, spots)
+    if spot is not None:
+        holder, key = spot
+        value = draw(st.sampled_from([[], ["a"], "a", 3, None, {}]))
+        holder[key] = copy.deepcopy(value)  # fresh, as later mutations edit it
+
+
 _MUTATIONS = (
     lambda draw, doc: _set_p(draw, doc, _BAD_P),
     _repeat_output,
@@ -415,6 +433,7 @@ _MUTATIONS = (
     _val_not_a_list,
     _duplicate_input,
     _mass_above_one,
+    _wrong_container,
 )
 
 

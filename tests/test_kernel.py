@@ -121,6 +121,93 @@ def test_make_kernel_rejects_unknown_labels():
     assert repr(wide) == f"Alphabet('w', {list(wide.labels)!r})"
 
 
+def reference_make_kernel(dom, cod, table):
+    """make_kernel entry by entry: each key is label-checked and each
+    probability parsed and sign-checked where it stands, then each row's
+    mass is summed in Fractions."""
+    seen, rows = set(), {}
+    for x_raw, row_raw in table.items():
+        x = K._as_outcome(x_raw, dom, "input")
+        if x in seen:
+            raise SchemaError(f"duplicate input {x!r}")
+        seen.add(x)
+        acc = {}
+        for y_raw, p_raw in row_raw.items():
+            y = K._as_outcome(y_raw, cod, "output")
+            p = K.parse_fraction(p_raw)
+            if p < 0:
+                raise NegativeProbability(
+                    f"entry ({x!r} -> {y!r}) has negative probability {p}"
+                )
+            if p:
+                acc[y] = acc[y] + p if y in acc else p
+        mass = sum(acc.values(), Fraction(0))
+        if mass > 1:
+            raise RowMassExceedsOne(f"row at input {x!r} has mass {mass} > 1")
+        if acc:
+            rows[x] = acc
+    return SubKernel(dom, cod, rows)
+
+
+_TABLE_P = ["0", "1/4", " 1/4", "0.25", "1/3", "1/2", "1", 0, 1, Fraction(1, 4)]
+_TABLE_P += [Fraction(0), Fraction(2, 3), Fraction(-1, 3), "-1/2", -1, "3/2", 2]
+_TABLE_P += [True, None, 0.5, "x", "1/0", "1e-1"]
+
+
+@st.composite
+def kernel_tables(draw):
+    """(dom, cod, table) with keys written as tuples, as bare labels or
+    with unknown, missing or extra labels, and probabilities of every
+    kind make_kernel reads or refuses."""
+    labels = ("a", "b", "c")
+
+    def an_obj(lo, name):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=lo, max_size=2))
+        return Obj(tuple(Alphabet(f"{name}{i}", labels[:n]) for i, n in enumerate(sizes)))
+
+    def key(at):
+        outcome = [draw(st.sampled_from(a.labels)) for a in at.factors]
+        how = draw(st.sampled_from(["tuple"] * 6 + ["bare", "unknown", "extra", "short"]))
+        if how == "bare" and len(outcome) == 1:
+            return outcome[0]
+        if how == "unknown" and outcome:
+            outcome[draw(st.integers(0, len(outcome) - 1))] = "zz"
+        elif how == "extra":
+            outcome.append("a")
+        elif how == "short" and outcome:
+            outcome.pop()
+        return tuple(outcome)
+
+    dom, cod = an_obj(0, "D"), an_obj(1, "C")
+    table = {}
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 4))
+        table[key(dom)] = {key(cod): draw(st.sampled_from(_TABLE_P)) for _ in range(n)}
+    return dom, cod, table
+
+
+def _made(build, dom, cod, table):
+    """A built kernel with its row and entry order, or the error raised."""
+    try:
+        k = build(dom, cod, table)
+    except Exception as exc:  # compared, not swallowed: see the assert
+        return ("raised", type(exc), str(exc))
+    rows = [(x, list(row.items())) for x, row in k.rows.items()]
+    assert all(type(q) is Fraction for _, row in rows for _, q in row)
+    return ("kernel", rows)
+
+
+@given(kernel_tables())
+@example((BO, BO, {"t": {"t": "1/4", ("t",): Fraction(1, 4), "f": 0}}))
+@example((BO, BO, {"t": {"t": 1}, ("t",): {"f": "x"}}))
+@example((BO, BO, {"t": {"zz": "x"}}))
+@example((BO, BO, {"t": {"t": "x", "zz": 1}}))
+@example((BO, BO, {"t": {"t": Fraction(-1, 2), "f": "x"}}))
+@example((BO, BO, {"t": {"t": "3/4", "f": "1/2"}, "zz": {"t": 1}}))
+def test_make_kernel_matches_per_entry_reference(case):
+    assert _made(make_kernel, *case) == _made(reference_make_kernel, *case)
+
+
 def test_alphabet_rejects_duplicates_and_empty():
     with pytest.raises(UnknownLabel):
         Alphabet("bad", ("a", "a"))

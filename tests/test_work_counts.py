@@ -2,9 +2,9 @@
 
 golden/work_counts.json pins, for a few fixed inputs, how many Fractions
 are constructed and how many times compose, tensor, relabel,
-deterministic and _row_numerators are called.  Counts of work are exact
-where timings are noisy, so a route that does more work fails here even
-when no benchmark could see it.  The test fails when a count exceeds its
+deterministic, _row_numerators and parse_fraction are called.  Counts of
+work are exact where timings are noisy, so a route that does more work
+fails here even when no benchmark could see it.  The test fails when a count exceeds its
 pin; a change that lowers a count lowers its pin in the same change, and
 one that raises a count says why.  Print the current counts with
 
@@ -28,7 +28,16 @@ from pmc import kernel as K
 from pmc.diagram import evaluate, infer_type
 
 GOLDEN = Path(__file__).parent / "golden"
-COUNTED = ("compose", "tensor", "relabel", "deterministic", "_row_numerators")
+COUNTED = (
+    "compose",
+    "tensor",
+    "relabel",
+    "deterministic",
+    "_row_numerators",
+    "parse_fraction",
+)
+# Three corpus problems as their JSON documents: the problem reader's work.
+PROBLEMS = ("corpus_newcomb", "corpus_monty-hall", "corpus_smoking-lesion")
 
 
 def _eval(term: str, env: str) -> None:
@@ -46,12 +55,20 @@ def _corpus() -> None:
         edt.solve(build())
 
 
+def _read_problems() -> None:
+    for name in PROBLEMS:
+        codec.problem_from_json(
+            json.loads((GOLDEN / f"{name}.json").read_text("utf-8"))
+        )
+
+
 WORKLOADS = {
     "laws_50_seed7": lambda: laws.check_all(50, 7),
     "dense_chain": lambda: _eval("dense_chain", "dense_env"),
     "wide_tensor": lambda: _eval("wide_tensor", "wide_env"),
     "partial_chain": lambda: _eval("partial_chain", "partial_env"),
     "corpus": _corpus,
+    "corpus_json": _read_problems,
 }
 
 
@@ -67,8 +84,15 @@ def work_counts(setattr_) -> dict[str, dict[str, int]]:
 
         return wrapper
 
+    # A name a module imported from kernel is counted there too: codec
+    # calls parse_fraction by the name it imported.
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "pmc"]
     for name in COUNTED:
-        setattr_(K, name, counted(name, getattr(K, name)))
+        fn = getattr(K, name)
+        wrapper = counted(name, fn)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                setattr_(module, name, wrapper)
     setattr_(Fraction, "__new__", counted("Fraction", Fraction.__new__))
     out = {}
     for workload, run in WORKLOADS.items():

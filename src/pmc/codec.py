@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Mapping
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from . import diagram as D
@@ -137,7 +138,9 @@ def _label_list(
 
 def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
     """_write for a SubKernel: the text of {"dom", "cod", "rows"} at
-    indentation nl, written from k.rows with fixed templates.
+    indentation nl, written from k's stored integer rows with fixed
+    templates, each entry n over its row's denominator D written as
+    n / D reduced.
 
     Rows and entries go out in sorted order; a row of one entry has
     nothing to sort.  Each "in" or "val" list is one join (see
@@ -150,7 +153,7 @@ def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
     _write(obj_to_json(k.dom), i1, write)
     write("," + i1 + '"cod": ')
     _write(obj_to_json(k.cod), i1, write)
-    rows = k.rows
+    rows = k._rows
     if not rows:
         write("," + i1 + '"rows": []' + nl + "}")
         return
@@ -166,14 +169,14 @@ def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
     p_close = '"' + i4 + "}"
     sep = "," + i1 + '"rows": [' + i2
     for x in sorted(rows):
-        row = rows[x]
+        den, row = rows[x]
         entries = []
         for y in sorted(row) if len(row) > 1 else row:
-            q = row[y]
-            d = q.denominator
+            n = row[y]
+            c = gcd(n, den)
             entries.append(
                 f"{val_open}{val_sep.join(y if val_body is None else map(val_body, y))}"
-                f"{p_open}{q.numerator if d == 1 else f'{q.numerator}/{d}'}{p_close}"
+                f"{p_open}{n // c if c == den else f'{n // c}/{den // c}'}{p_close}"
             )
         write(
             f"{sep}{row_open}{in_sep.join(x if in_body is None else map(in_body, x))}"
@@ -250,6 +253,8 @@ def kernel_from_json(doc: Any, where: str = "kernel") -> SubKernel:
     # per document, so a repeat needs neither.  Only strings are kept:
     # as dict keys, True and 1 are one key.
     parsed: dict[str, Fraction] = {}
+    # Each distinct output label tuple is tested once per document too.
+    labelled: set[tuple] = set()
     table: dict = {}
     # Exact-type tests pass on every well-formed row and entry.  Where
     # one fails, the part is read again through _require and _str_list,
@@ -271,15 +276,19 @@ def kernel_from_json(doc: Any, where: str = "kernel") -> SubKernel:
                 val, p = out_doc.get("val"), out_doc.get("p")
             else:
                 val = p = None
-            if (
-                type(val) is not list
-                or not all(type(v) is str for v in val)
-                or type(p) is not str
-            ):
+            y = tuple(val) if type(val) is list else None
+            try:
+                known = y in labelled
+            except TypeError:  # an unhashable label, so not all are str
+                known = False
+            if not known and y is not None and all(type(v) is str for v in y):
+                labelled.add(y)
+                known = True
+            if not known or type(p) is not str:
                 ow = f"{where}.rows[{i}].out[{j}]"
                 val = _str_list(_require(out_doc, "val", list, ow), ow + ".val")
                 p = _require(out_doc, "p", (str, int), ow)
-            y = tuple(val)
+                y = tuple(val)
             q = parsed.get(p)
             if q is None:
                 q = parse_fraction(p)

@@ -4,25 +4,38 @@ A kernel maps each input tuple to a finitely supported map from output
 tuples to non-negative rationals summing to at most one.  The missing
 mass of a row is the probability of failure; a row that is absent from
 the table fails with probability one.  All arithmetic is exact.
-Kernels hold reduced fractions.Fraction entries; compose and the
-row-mass check in make_kernel sum integer numerators over one common
-denominator per row internally, and only the finished row becomes
-Fractions again.  compose numbers the output outcomes in first-seen
-order and sums each row keyed by those numbers; make_kernel checks each
-distinct output tuple against the codomain once per call, and takes a
-Fraction entry as it is, so the table of Fractions that
-codec.kernel_from_json hands it is not parsed twice.  compose also
-whiskers: compose(f, g, at=k) is f ; (id (x) g (x) id) with g reading
-the codomain factors of f from the k-th on, and no identity kernel is
-built or multiplied through.  tensor multiplies any number of factors
-out as balanced binary products, in the row and entry order a left
-fold of binary products would give, and never multiplies by ONE.
 
-This module is the only one that reads or builds rows.  The rest of
-the package works through compose, tensor, deterministic (the kernel of
-a partial function, which every structural map and point is), and the
-row operations normalise, relabel, bend, state_at and fill, and reads a
-single row, read-only, through row, prob and mass.
+Each row is stored as integers: one row denominator D, the lcm of the
+reduced entries' denominators, and each output's numerator over D, in
+row order.  That form is unique, so equal kernels store equal rows and
+== is structural.  A row whose denominator is 1 is exactly one entry
+equal to 1: the row of a partial function.  compose, tensor and the
+row operations work on these integers alone; Fractions appear only
+where a value is read, through prob, mass, row and the rows view, a
+read-only mapping of mappings of reduced Fractions built on its first
+read.  make_kernel checks labels, signs and row masses, and stores the
+integer rows its mass check computes; it takes a Fraction entry as it
+is, so the table of Fractions that codec.kernel_from_json hands it is
+not parsed twice.
+
+compose numbers the output outcomes in first-seen order; each of g's
+rows, placed in context, becomes one tuple of output numbers, shared
+by every row of g with the same numbering, and a row of f ; g is
+summed column by column over the terms with one numbering.  compose
+also whiskers: compose(f, g, at=k) is f ; (id (x) g (x) id) with g
+reading the codomain factors of f from the k-th on, and no identity
+kernel is built or multiplied through.  tensor multiplies any number of
+factors out as balanced binary products, in the row and entry order a
+left fold of binary products would give, and never multiplies a row
+whose denominator is 1.
+
+The rest of the package works through compose, tensor, deterministic
+(the kernel of a partial function, which every structural map and point
+is), and the row operations normalise, relabel, bend, state_at and
+fill, and reads rows through row, prob, mass and the rows view.  Two
+functions elsewhere touch stored rows: codec's emission reads them,
+and the law suite's random kernels are built from integer rows through
+_trusted_kernel.
 
 Objects are flat tuples of alphabets; the empty tuple is the monoidal
 unit, and tensoring concatenates factor lists, so associators and
@@ -32,12 +45,13 @@ unitors are literal identities.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
+from operator import mul
 from types import MappingProxyType
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     BadSplit,
@@ -50,7 +64,9 @@ from .errors import (
 
 Outcome = tuple[str, ...]
 Row = dict[Outcome, Fraction]
-IntRow = tuple[int, list[tuple[int, int]]]
+# A stored row: (D, {output: numerator over D}), no numerator zero and
+# no factor common to D and every numerator.
+IntRow = tuple[int, dict[Outcome, int]]
 PartialFn = Callable[[Outcome], Optional[Outcome]]  # None where undefined
 
 
@@ -119,33 +135,114 @@ def _as_outcome(value, at: Obj, what: str) -> Outcome:
     return out
 
 
-@dataclass(frozen=True)
+_NO_ROW: Mapping[Outcome, Fraction] = MappingProxyType({})
+_ONE = Fraction(1)
+
+
 class SubKernel:
     """A substochastic matrix dom -> cod with exact rational entries.
 
-    rows maps input outcomes to their output rows; zero entries and
-    all-fail rows are never stored, so structural equality coincides
-    with semantic equality.
+    Rows are stored as IntRows (see the module docstring); zero entries
+    and all-fail rows are never stored, so structural equality
+    coincides with semantic equality.  SubKernel(dom, cod, rows) takes
+    a table of non-negative Fractions, trusted to be a kernel's
+    (make_kernel is the validated entry), and drops its zeros.  A
+    kernel is immutable: its attributes cannot be set, and rows, row(x)
+    and their rows are read-only mappings.
     """
 
-    dom: Obj
-    cod: Obj
-    rows: dict[Outcome, Row] = field(default_factory=dict)
+    __slots__ = ("dom", "cod", "_rows", "_view")
+
+    def __init__(
+        self, dom: Obj, cod: Obj, rows: Mapping[Outcome, Row] = _NO_ROW
+    ) -> None:
+        stored = {}
+        for x, row in rows.items():
+            row = {y: q for y, q in row.items() if q}
+            if row:
+                den = lcm(*(q.denominator for q in row.values()))
+                stored[x] = den, {
+                    y: q.numerator * (den // q.denominator) for y, q in row.items()
+                }
+        _init(self, dom, cod, stored)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SubKernel):
+            return NotImplemented
+        return (
+            self.dom == other.dom
+            and self.cod == other.cod
+            and self._rows == other._rows
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    @property
+    def rows(self) -> Mapping[Outcome, Mapping[Outcome, Fraction]]:
+        """Every stored row as read-only reduced Fractions, in row and
+        entry order; built on the first read and kept.  The one entry of
+        a row whose denominator is 1 is the shared _ONE."""
+        view = self._view
+        if view is None:
+            view = MappingProxyType(
+                {
+                    x: MappingProxyType(
+                        dict.fromkeys(e, _ONE)
+                        if den == 1
+                        else {y: Fraction(n, den) for y, n in e.items()}
+                    )
+                    for x, (den, e) in self._rows.items()
+                }
+            )
+            object.__setattr__(self, "_view", view)
+        return view
 
     def row(self, x) -> Mapping[Outcome, Fraction]:
         """The row at x, read-only (empty if the row is absent)."""
-        row = self.rows.get(_as_outcome(x, self.dom, "input"), {})
-        return MappingProxyType(row)
+        return self.rows.get(_as_outcome(x, self.dom, "input"), _NO_ROW)
 
     def prob(self, x, y) -> Fraction:
         return self.row(x).get(_as_outcome(y, self.cod, "output"), Fraction(0))
 
     def mass(self, x) -> Fraction:
         """Success probability of the row at x (zero if the row is absent)."""
-        return sum(self.row(x).values(), Fraction(0))
+        row = self._rows.get(_as_outcome(x, self.dom, "input"))
+        return Fraction(sum(row[1].values()), row[0]) if row else Fraction(0)
+
+    def __reduce__(self):
+        # Copies and pickles rebuild the kernel without setting attributes.
+        return _trusted_kernel, (self.dom, self.cod, self._rows)
 
     def __repr__(self) -> str:
-        return f"SubKernel({self.dom!r} -> {self.cod!r}, {len(self.rows)} rows)"
+        return f"SubKernel({self.dom!r} -> {self.cod!r}, {len(self._rows)} rows)"
+
+
+def _init(k: SubKernel, dom: Obj, cod: Obj, rows: dict[Outcome, IntRow]) -> None:
+    for name, value in (("dom", dom), ("cod", cod), ("_rows", rows), ("_view", None)):
+        object.__setattr__(k, name, value)
+
+
+def _trusted_kernel(dom: Obj, cod: Obj, rows: dict[Outcome, IntRow]) -> SubKernel:
+    """The kernel that stores rows as they are: each an IntRow, and no
+    row or row dict held by another kernel.  Nothing is checked."""
+    k = object.__new__(SubKernel)
+    _init(k, dom, cod, rows)
+    return k
+
+
+def _reduced(den: int, nums: dict[Outcome, int]) -> IntRow:
+    """(den, nums) as an IntRow: their common factor divided out, nums
+    itself where there is none."""
+    c = gcd(den, *nums.values())
+    if c == 1:
+        return den, nums
+    return den // c, {y: n // c for y, n in nums.items()}
 
 
 # The rational strings of README "File formats": [sign] int ["/" int],
@@ -200,7 +297,7 @@ def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
     over a table of Fractions: a Fraction is taken as it is, with no
     call to parse_fraction.
     """
-    rows: dict[Outcome, Row] = {}
+    rows: dict[Outcome, IntRow] = {}
     # Output tuples already checked against cod: each is checked once.
     outputs: set[Outcome] = set()
     inputs: set[Outcome] = set()  # rows holds only the nonempty rows
@@ -209,7 +306,8 @@ def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
         if x in inputs:
             raise SchemaError(f"duplicate input {x!r}")
         inputs.add(x)
-        acc: Row = {}
+        # Each output's (numerator, denominator), read once per entry.
+        acc: dict[Outcome, tuple[int, int]] = {}
         for y_raw, p in row_raw.items():
             if type(y_raw) is tuple and y_raw in outputs:
                 y = y_raw
@@ -225,18 +323,21 @@ def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
                         f"entry ({x!r} -> {y!r}) has negative probability {p}"
                     )
                 continue
-            # Two keys may name one outcome ("t" and ("t",)).
-            acc[y] = acc[y] + p if y in acc else p
+            if y in acc:  # two keys may name one outcome ("t" and ("t",))
+                p += Fraction(*acc[y])
+                n = p.numerator
+            acc[y] = n, p.denominator
         if not acc:
             continue
-        den, nums = _row_numerators(acc)
-        total = sum(nums)
+        den = lcm(*(d for _, d in acc.values()))
+        nums = {y: n * (den // d) for y, (n, d) in acc.items()}
+        rows[x] = den, nums
+        total = sum(nums.values())
         if total > den:
             raise RowMassExceedsOne(
                 f"row at input {x!r} has mass {Fraction(total, den)} > 1"
             )
-        rows[x] = acc
-    return SubKernel(dom, cod, rows)
+    return _trusted_kernel(dom, cod, rows)
 
 
 def state(cod: Obj, dist: Mapping) -> SubKernel:
@@ -244,22 +345,17 @@ def state(cod: Obj, dist: Mapping) -> SubKernel:
     return make_kernel(UNIT, cod, {(): dist})
 
 
-# Every deterministic entry: one shared, immutable value, which tensor
-# recognises by identity and never multiplies by.
-ONE = Fraction(1)
-
-
 def deterministic(dom: Obj, cod: Obj, fn: PartialFn) -> SubKernel:
     """The kernel of the partial function fn : dom -> cod.  Input x gets
     the row {fn(x): 1}, or no row where fn(x) is None; fn is called once
     per input, in dom.outcomes() order, and is trusted to return
     outcomes of cod."""
-    rows: dict[Outcome, Row] = {}
+    rows: dict[Outcome, IntRow] = {}
     for x in dom.outcomes():
         y = fn(x)
         if y is not None:
-            rows[x] = {y: ONE}
-    return SubKernel(dom, cod, rows)
+            rows[x] = 1, {y: 1}
+    return _trusted_kernel(dom, cod, rows)
 
 
 def dirac(at: Obj, point) -> SubKernel:
@@ -301,36 +397,30 @@ def compare(at: Obj) -> SubKernel:
     )
 
 
-def _row_numerators(row: Row) -> tuple[int, list[int]]:
-    """The lcm D of a row's denominators, and its entries' numerators
-    over D in row order."""
-    den = lcm(*(q.denominator for q in row.values()))
-    return den, [q.numerator * (den // q.denominator) for q in row.values()]
-
-
 def _numbered_row(
-    den_nums: tuple[int, list[int]],
-    row: Row,
+    row: IntRow,
     pre: Outcome,
     post: Outcome,
     index: dict[Outcome, int],
     outcomes: list[Outcome],
-) -> IntRow:
-    """A row given as _row_numerators gives it, (den, numerators), with
-    each of its outputs z placed in context as pre + z + post, as
-    (den, [(output's number, numerator)]) in row order.  Outputs new to
-    index are numbered in first-seen order and appended to outcomes, so
-    outcomes[i] is output number i."""
-    den, nums = den_nums
-    numbered = []
-    for z, n in zip(row, nums):
+    numberings: dict[tuple[int, ...], tuple[int, ...]],
+) -> tuple[int, tuple[int, ...], Iterable[int]]:
+    """A row of g with each of its outputs z placed in context as
+    pre + z + post, as (D, numbering, numerators): numbering holds each
+    output's number in row order.  Outputs new to index are numbered in
+    first-seen order and appended to outcomes, so outcomes[i] is output
+    number i.  Equal numberings are one interned tuple."""
+    den, nums = row
+    numbering = []
+    for z in nums:
         y = pre + z + post
         i = index.get(y)
         if i is None:
             i = index[y] = len(outcomes)
             outcomes.append(y)
-        numbered.append((i, n))
-    return den, numbered
+        numbering.append(i)
+    key = tuple(numbering)
+    return den, numberings.setdefault(key, key), nums.values()
 
 
 def require_composable(cod: Obj, dom: Obj) -> None:
@@ -352,16 +442,16 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
     TypeMismatch.  Without
     at, f's codomain must be g's domain itself, so a plain composition
     never whiskers by accident.  g's row for an output y of f is looked
-    up by the slice of y that g reads.  Each distinct slice has its row
-    converted to integers once, however many contexts (y's factors in L
-    and R) share it, and only the rows that f reaches are converted.
+    up by the slice of y that g reads, and numbered (see _numbered_row)
+    once per y, only for the outputs that f reaches.
 
-    Each output row is summed in integers: every product p * q is
-    brought over one common denominator D for the row (an lcm), and the
-    sums become reduced Fractions n / D only when the row is stored.
-    The sums are keyed by output numbers (see _numbered_row), whose
-    hashes cost nothing, not by outcome tuples, whose hashes are
-    recomputed on every lookup.
+    A row of f over D_f with numerators n_y gives one term per y where
+    g has a row, over D_y.  Over M, the lcm of those D_y, the term's
+    scale is n_y * (M // D_y), and the row is summed over D_f * M, then
+    reduced.  Terms sharing a numbering are summed column by column,
+    each column one sum of products; the columns then land on their
+    output numbers in first-seen order, which is the order the outputs
+    are first met through f's row and each of g's rows in turn.
     """
     if at is None:
         require_composable(f.cod, g.dom)
@@ -378,74 +468,98 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
         cod = left.tensor(g.cod).tensor(right)
     index: dict[Outcome, int] = {}
     outcomes: list[Outcome] = []
-    # g's rows are converted on first use: f may reach only a few of them.
-    # g_nums holds them by slice, g_int numbered for each output of f.
-    g_nums: dict[Outcome, tuple[int, list[int]]] = {}
-    g_int: dict[Outcome, IntRow] = {}
-    rows: dict[Outcome, Row] = {}
-    for x, frow in f.rows.items():
-        # (numerator of p, denominator of p * q, g's row as numerators)
+    numberings: dict[tuple[int, ...], tuple[int, ...]] = {}
+    grows = g._rows
+    # g's row numbered for each output y of f, or () where g has none.
+    g_at: dict[Outcome, tuple] = {}
+    rows: dict[Outcome, IntRow] = {}
+    for x, (fden, frow) in f._rows.items():
         terms = []
-        for y, p in frow.items():
-            gy = g_int.get(y)
+        for y, n in frow.items():
+            gy = g_at.get(y)
             if gy is None:
-                s = y[k:j]
-                grow = g.rows.get(s)
-                if not grow:
-                    continue
-                nums = g_nums.get(s)
-                if nums is None:
-                    nums = g_nums[s] = _row_numerators(grow)
-                gy = g_int[y] = _numbered_row(
-                    nums, grow, y[:k], y[j:], index, outcomes
+                grow = grows.get(y[k:j])
+                gy = g_at[y] = (
+                    _numbered_row(grow, y[:k], y[j:], index, outcomes, numberings)
+                    if grow
+                    else ()
                 )
-            terms.append((p.numerator, p.denominator * gy[0], gy[1]))
+            if gy:
+                terms.append((n, gy))
         if not terms:
             continue
-        den = lcm(*(dd for _, dd, _ in terms))
+        lden = lcm(*[gy[0] for _, gy in terms])
+        # An interned numbering is keyed by identity, never hashed again.
+        groups: dict[int, tuple[tuple[int, ...], list[int], list]] = {}
+        for n, (gden, numbering, nums) in terms:
+            group = groups.get(id(numbering))
+            if group is None:
+                group = groups[id(numbering)] = (numbering, [], [])
+            group[1].append(n * (lden // gden))
+            group[2].append(nums)
         acc: dict[int, int] = {}
-        for num, dd, grow in terms:
-            scale = num * (den // dd)
-            for i, n in grow:
-                acc[i] = acc.get(i, 0) + scale * n
-        rows[x] = {outcomes[i]: Fraction(n, den) for i, n in acc.items()}
-    return SubKernel(f.dom, cod, rows)
+        for numbering, scales, numss in groups.values():
+            for i, column in zip(numbering, zip(*numss)):
+                acc[i] = acc.get(i, 0) + sum(map(mul, scales, column))
+        den = fden * lden
+        c = gcd(den, *acc.values())
+        rows[x] = den // c, {outcomes[i]: s // c for i, s in acc.items()}
+    return _trusted_kernel(f.dom, cod, rows)
 
 
 def _product(ks: Sequence[SubKernel]) -> SubKernel:
     """ks[0] (x) ks[1] (x) ...: ks[0] alone, or the product of its two
-    halves' products, each half's rows listed once as (x, entries).
+    halves' products, each half's rows listed once (see _row_product).
     With factors of like size, each half holds about the square root of
     the result's entries, so the halves cost little beside the result."""
     if len(ks) == 1:
         return ks[0]
     cut = (len(ks) + 1) // 2
     left, right = _product(ks[:cut]), _product(ks[cut:])
-    rows0, rows = (
-        [(x, list(r.items())) for x, r in k.rows.items()] for k in (left, right)
+    rows0, rows1 = (
+        [
+            (x, den, y, (den, list(e.items()), gcd(*e.values()), y))
+            for x, (den, e) in k._rows.items()
+            for y in (next(iter(e)),)
+        ]
+        for k in (left, right)
     )
-    return SubKernel(
+    return _trusted_kernel(
         left.dom.tensor(right.dom),
         left.cod.tensor(right.cod),
         {
-            x0 + x: {
-                y0 + y: q if p is ONE else p if q is ONE else p * q
-                for y0, p in e0
-                for y, q in e
-            }
-            for x0, e0 in rows0
-            for x, e in rows
+            # Two rows of partial functions, as in every structural map.
+            x0 + x1: (1, {y0 + y1: 1}) if d0 == d1 == 1 else _row_product(r0, r1)
+            for x0, d0, y0, r0 in rows0
+            for x1, d1, y1, r1 in rows1
         },
     )
+
+
+def _row_product(r0: tuple, r1: tuple) -> IntRow:
+    """The product of two rows, each given as (D, entries, gcd of the
+    numerators, first output).  A row whose D is 1 is one entry, 1: its
+    product with a row is that row with the one output joined on, and
+    is already reduced.  Otherwise the product of (D0, n0s) and
+    (D1, n1s) is (D0 * D1, n0 * n1) over c = gcd(D0, gcd(n1s)) *
+    gcd(D1, gcd(n0s)), the factor those share, as D0 is prime to
+    gcd(n0s) and D1 to gcd(n1s)."""
+    d0, e0, g0, y0 = r0
+    d1, e1, g1, y1 = r1
+    if d0 == 1:
+        return d1, {y0 + y: n for y, n in e1}
+    if d1 == 1:
+        return d0, {y + y1: n for y, n in e0}
+    c = gcd(d0, g1) * gcd(d1, g0)
+    return d0 * d1 // c, {a + b: m * n // c for a, m in e0 for b, n in e1}
 
 
 def tensor(f: SubKernel, *gs: SubKernel) -> SubKernel:
     """Parallel composition f (x) g1 (x) g2 ... on concatenated tuples,
     multiplied out as balanced binary products (see _product).  Rows and
     entries come out in a left fold's order: each factor's own order,
-    the leftmost factor outermost.  Where an entry is ONE, as in every
-    structural map, the other entry is stored without multiplying; an
-    entry equal to 1 that is not ONE is multiplied, which is exact."""
+    the leftmost factor outermost.  A row of a structural map has
+    denominator 1, and is never multiplied."""
     return _product((f, *gs))
 
 
@@ -453,17 +567,14 @@ def normalise(f: SubKernel) -> SubKernel:
     """Divide every row by its mass; all-fail rows stay all-fail.
 
     The result is quasi-total and normalisation is idempotent.  Over the
-    row's common denominator, entry n becomes n / (sum of numerators).
+    row's denominator, entry n becomes n / (sum of numerators), reduced.
     """
-    rows: dict[Outcome, Row] = {}
-    for x, row in f.rows.items():
-        den, nums = _row_numerators(row)
-        total = sum(nums)
-        if total == den:
-            rows[x] = dict(row)
-        else:
-            rows[x] = {y: Fraction(n, total) for y, n in zip(row, nums)}
-    return SubKernel(f.dom, f.cod, rows)
+    rows: dict[Outcome, IntRow] = {}
+    for x, (_, e) in f._rows.items():
+        total = sum(e.values())
+        c = gcd(total, *e.values())
+        rows[x] = total // c, {y: n // c for y, n in e.items()}
+    return _trusted_kernel(f.dom, f.cod, rows)
 
 
 def relabel(
@@ -473,16 +584,16 @@ def relabel(
     into cod: the entry at (x, y) moves to output fn(x, y) of row x, or
     is dropped where fn(x, y) is None.  Entries landing on one output
     are summed, and a row left with no entry is not stored."""
-    rows: dict[Outcome, Row] = {}
-    for x, row in f.rows.items():
-        acc: Row = {}
-        for y, p in row.items():
+    rows: dict[Outcome, IntRow] = {}
+    for x, (den, e) in f._rows.items():
+        acc: dict[Outcome, int] = {}
+        for y, n in e.items():
             z = fn(x, y)
             if z is not None:
-                acc[z] = acc[z] + p if z in acc else p
+                acc[z] = acc[z] + n if z in acc else n
         if acc:
-            rows[x] = acc
-    return SubKernel(f.dom, cod, rows)
+            rows[x] = _reduced(den, acc)
+    return _trusted_kernel(f.dom, cod, rows)
 
 
 def graph(f: SubKernel) -> SubKernel:
@@ -504,28 +615,31 @@ def bend(f: SubKernel, split: int) -> SubKernel:
     kernel A (x) X -> B: the entry at (x, a + b) moves to row a + x,
     output b."""
     kept, rest = split_cod(f, split)
-    rows: dict[Outcome, Row] = {}
-    for x, row in f.rows.items():
-        for y, p in row.items():
-            rows.setdefault(y[:split] + x, {})[y[split:]] = p
-    return SubKernel(kept.tensor(f.dom), rest, rows)
+    rows: dict[Outcome, IntRow] = {}
+    for x, (den, e) in f._rows.items():
+        parts: dict[Outcome, dict[Outcome, int]] = {}
+        for y, n in e.items():
+            parts.setdefault(y[:split], {})[y[split:]] = n
+        for a, part in parts.items():
+            rows[a + x] = _reduced(den, part)
+    return _trusted_kernel(kept.tensor(f.dom), rest, rows)
 
 
 def state_at(f: SubKernel, x: Outcome) -> SubKernel:
     """The state I -> cod that f gives at input x, all-fail where f has
     no row at x."""
-    row = f.rows.get(x)
-    return SubKernel(UNIT, f.cod, {(): dict(row)} if row else {})
+    row = f._rows.get(x)
+    return _trusted_kernel(UNIT, f.cod, {(): (row[0], dict(row[1]))} if row else {})
 
 
 def fill(f: SubKernel, default: SubKernel) -> SubKernel:
     """f with each all-fail row replaced by the state `default`."""
-    rows: dict[Outcome, Row] = {}
+    rows: dict[Outcome, IntRow] = {}
     for x in f.dom.outcomes():
-        row = f.rows.get(x) or default.rows.get(())
+        row = f._rows.get(x) or default._rows.get(())
         if row:
-            rows[x] = dict(row)
-    return SubKernel(f.dom, f.cod, rows)
+            rows[x] = row[0], dict(row[1])
+    return _trusted_kernel(f.dom, f.cod, rows)
 
 
 def failure_probability(f: SubKernel) -> SubKernel:
@@ -537,18 +651,15 @@ def failure_probability(f: SubKernel) -> SubKernel:
 
 def is_total(f: SubKernel) -> bool:
     """Every input succeeds with probability one."""
-    if len(f.rows) != f.dom.size:
-        return False
-    return all(sum(r.values()) == 1 for r in f.rows.values())
+    return len(f._rows) == f.dom.size and is_quasi_total(f)
 
 
 def is_deterministic(f: SubKernel) -> bool:
-    """Every row is either empty or a single entry with probability one."""
-    return all(
-        len(r) == 1 and next(iter(r.values())) == 1 for r in f.rows.values()
-    )
+    """Every row is either empty or a single entry with probability one:
+    its denominator is 1."""
+    return all(den == 1 for den, _ in f._rows.values())
 
 
 def is_quasi_total(f: SubKernel) -> bool:
     """Every row has mass zero or one: failure is deterministic."""
-    return all(sum(r.values()) == 1 for r in f.rows.values())
+    return all(sum(e.values()) == den for den, e in f._rows.values())

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from random import Random
 from typing import Callable, Optional
 
@@ -93,7 +94,8 @@ def _rand_kernel(
 
     A density of None is drawn from 4/10 ... 10/10, or is 7/10 when
     `total`.  A total kernel gives a row with no drawn entry one output
-    picked at random, and every row mass one.
+    picked at random, and every row mass one.  Each row is built as the
+    drawn integer weights over the drawn denominator, reduced.
     """
     if density is None:
         density = Fraction(7 if total else _rand_int(rng, 4, 10), 10)
@@ -113,8 +115,9 @@ def _rand_kernel(
         den = _rand_int(rng, max(2, n), MAX_DENOMINATOR)
         mass = den if total or rng.random() < 0.5 else _rand_int(rng, n, den)
         weights = _composition(rng, mass, n)
-        rows[x] = {y: Fraction(w, den) for y, w in zip(included, weights)}
-    return SubKernel(dom, cod, rows)
+        c = gcd(den, *weights)
+        rows[x] = den // c, {y: w // c for y, w in zip(included, weights)}
+    return K._trusted_kernel(dom, cod, rows)
 
 
 def random_kernel(seed: int, dom: Obj, cod: Obj, density) -> SubKernel:

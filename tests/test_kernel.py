@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import time
 from fractions import Fraction
 from functools import reduce
@@ -322,6 +324,29 @@ def test_row_is_read_only():
     assert half == K.state(BO, {"t": HALF})
 
 
+def test_rows_are_frozen():
+    # The rows view, each of its rows and row(x) refuse every write, and
+    # the kernel refuses every attribute write; a refused write changes
+    # nothing, and copies and pickles are equal kernels.
+    half = K.state(BO, {"t": "1/2"})
+    with pytest.raises(TypeError):
+        half.rows[()] = {("t",): Fraction(1)}
+    with pytest.raises(TypeError):
+        del half.rows[()]
+    with pytest.raises(TypeError):
+        half.rows[()][("f",)] = 9
+    with pytest.raises(TypeError):
+        half.row(())[("f",)] = 9
+    for name in ("rows", "dom", "_rows"):
+        with pytest.raises(AttributeError):
+            setattr(half, name, {})
+    assert half.mass(()) == HALF and half.prob((), "f") == 0
+    assert not K.is_total(half) and not K.is_quasi_total(half)
+    assert half == K.state(BO, {"t": HALF})
+    assert half.rows == {(): {("t",): HALF}}
+    assert copy.deepcopy(half) == half == pickle.loads(pickle.dumps(half))
+
+
 # -- predicates --------------------------------------------------------------
 
 
@@ -601,8 +626,9 @@ def test_tensor_matches_naive_product(fs):
 
 
 def test_tensor_multiplies_no_entry_by_one(monkeypatch):
-    # g's entries are not 1, and each meets only the shared ONE of a
-    # structural map, on its left or on its right: no product multiplies.
+    # g's entries are not 1, and each meets only a row of a structural
+    # map, whose denominator is 1, on its left or on its right: no
+    # product multiplies.
     y = obj(Alphabet("three", ("x", "y", "z")))
     g = make_kernel(BO, y, {
         "t": {"x": Fraction(1, 4), "z": HALF}, "f": {"y": Fraction(2, 3)},
@@ -723,6 +749,62 @@ def test_row_primitives_share_no_row_with_their_input(f):
     for result, inputs in cases:
         held = {id(row) for k in inputs for row in k.rows.values()}
         assert not any(id(row) in held for row in result.rows.values())
+        # The stored rows too: no kernel holds another's row dict.
+        held = {id(e) for k in inputs for _, e in k._rows.values()}
+        assert not any(id(e) in held for _, e in result._rows.values())
+
+
+@st.composite
+def built_kernels(draw):
+    """A kernel from one of the operations that build rows."""
+    how = draw(st.sampled_from([
+        "make_kernel", "compose", "whiskered", "tensor", "normalise", "relabel", "bend",
+    ]))
+    if how == "make_kernel":
+        # Unreduced strings: make_kernel stores the rows reduced.
+        f, m = draw(kernels()), draw(st.integers(1, 3))
+        return make_kernel(f.dom, f.cod, {
+            x: {y: f"{q.numerator * m}/{q.denominator * m}" for y, q in r.items()}
+            for x, r in f.rows.items()
+        })
+    if how == "compose":
+        return K.compose(*draw(composable_pairs()))
+    if how == "whiskered":
+        f, g, left, _ = draw(whiskerings())
+        return K.compose(f, g, at=len(left.factors))
+    if how == "tensor":
+        return K.tensor(*draw(tensor_factors()))
+    if how == "relabel":
+        f, table, cod = draw(relabellings())
+        return K.relabel(f, lambda x, y: table[x, y], cod)
+    f = draw(kernels())
+    if how == "normalise":
+        return K.normalise(f)
+    return K.bend(f, draw(st.integers(0, len(f.cod.factors))))
+
+
+@given(built_kernels())
+@example(K.tensor(
+    K.state(BO, {"t": HALF, "f": HALF}), K.state(BO, {"t": Fraction(2, 3)})
+))
+@example(K.relabel(
+    bk({"t": {"t": Fraction(1, 4), "f": Fraction(1, 4)}}), lambda x, y: x, BO
+))
+def test_rows_view_is_the_stored_rows_as_reduced_fractions(k):
+    # The examples store rows whose integer products or sums share a
+    # factor with the row denominator: 2/6 and 2/4 are stored reduced.
+    for x in k.dom.outcomes():
+        row = k.row(x)
+        assert row == k.rows.get(x, {})
+        assert k.mass(x) == sum(row.values(), Fraction(0))
+        for y in k.cod.outcomes():
+            assert k.prob(x, y) == row.get(y, 0)
+    for row in k.rows.values():
+        assert row
+        for q in row.values():
+            assert type(q) is Fraction and q > 0
+            assert gcd(q.numerator, q.denominator) == 1
+    assert make_kernel(k.dom, k.cod, k.rows) == k
 
 
 # -- algebraic laws (hypothesis) ---------------------------------------------

@@ -3,9 +3,10 @@
 Everything else goes through the kernel operations (compose, tensor,
 relabel, bend, normalise, ...) and the accessors row, prob and mass.
 Two exceptions are pinned: codec._write_kernel, the emission path that
-writes rows straight to text, and laws._rand_kernel, the one generator
-that draws random kernels of general entries and builds them directly
-(random functions go through kernel.deterministic).
+writes the stored integer rows straight to text, and laws._rand_kernel,
+the one generator that draws random kernels of general entries and
+builds them directly as integer rows (random functions go through
+kernel.deterministic).
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ SUBKERNEL_BUILDERS = {("laws", "_rand_kernel")}
 
 
 def _uses_outside_kernel():
-    """(module, enclosing top-level function) of every `.rows` attribute
-    and every SubKernel(...) call in src/pmc, kernel.py excepted."""
+    """(module, enclosing top-level function) of every `.rows` or
+    `._rows` attribute and every SubKernel(...) or _trusted_kernel(...)
+    call in src/pmc, kernel.py excepted."""
     rows, builds = set(), set()
     for path in sorted(SRC.glob("*.py")):
         if path.stem == "kernel":
@@ -30,12 +32,12 @@ def _uses_outside_kernel():
         for top in tree.body:
             where = (path.stem, getattr(top, "name", None))
             for node in ast.walk(top):
-                if isinstance(node, ast.Attribute) and node.attr == "rows":
+                if isinstance(node, ast.Attribute) and node.attr in ("rows", "_rows"):
                     rows.add(where)
                 if isinstance(node, ast.Call):
                     fn = node.func
                     name = getattr(fn, "attr", getattr(fn, "id", None))
-                    if name == "SubKernel":
+                    if name in ("SubKernel", "_trusted_kernel"):
                         builds.add(where)
     return rows, builds
 

@@ -2,7 +2,7 @@
 
 golden/work_counts.json pins, for a few fixed inputs, how many Fractions
 are constructed and how many times compose, tensor, relabel,
-deterministic, _row_numerators and parse_fraction are called.  Counts of
+deterministic and parse_fraction are called.  Counts of
 work are exact where timings are noisy, so a route that does more work
 fails here even when no benchmark could see it.  The test fails when a count exceeds its
 pin; a change that lowers a count lowers its pin in the same change, and
@@ -33,7 +33,6 @@ COUNTED = (
     "tensor",
     "relabel",
     "deterministic",
-    "_row_numerators",
     "parse_fraction",
 )
 # Three corpus problems as their JSON documents: the problem reader's work.

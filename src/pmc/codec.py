@@ -14,14 +14,13 @@ plain, json writes it as itself in quotes, so an outcome's list is its
 bare labels joined in one call between fixed quotes and indentation:
 the same bytes, with no lookup per label.
 
-Reading a kernel walks its entries once.  Each row and entry passes
-exact-type tests inline, and each distinct probability string is parsed
-once per document; only a part that fails a test is read again by
-_require and _str_list, which hold every schema message and build its
-location.  So the schema and every entry's sign are checked for the
-whole document first.  The summed table of Fractions then goes to
-make_kernel, which takes each Fraction as it is and checks labels and
-row masses row by row, each distinct output tuple once.
+Reading a kernel checks the JSON shape of the whole document first.
+Each row and entry passes exact-type tests inline; only a part that
+fails a test is read again by _require and _str_list, which hold every
+schema message and build its location.  The rows, each entry's
+probability as the document holds it, then go to make_kernel's walk
+(kernel._checked_kernel), which checks row by row each entry's labels,
+then its rational, then its sign, then the row's mass.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from typing import Any
 
 from . import diagram as D
 from . import edt as E
-from .errors import NegativeProbability, SchemaError
-from .kernel import Alphabet, Obj, SubKernel, make_kernel, parse_fraction
+from .errors import SchemaError
+from .kernel import Alphabet, Obj, SubKernel, _checked_kernel, parse_fraction
 
 
 def format_fraction(q: Fraction | int) -> str:
@@ -248,29 +247,24 @@ def kernel_to_json(k: SubKernel) -> SubKernel:
 def kernel_from_json(doc: Any, where: str = "kernel") -> SubKernel:
     dom = obj_from_json(_require(doc, "dom", list, where), where + ".dom")
     cod = obj_from_json(_require(doc, "cod", list, where), where + ".cod")
-    rows_doc = _require(doc, "rows", list, where)
-    # Each distinct probability string is parsed and sign-checked once
-    # per document, so a repeat needs neither.  Only strings are kept:
-    # as dict keys, True and 1 are one key.
-    parsed: dict[str, Fraction] = {}
-    # Each distinct output label tuple is tested once per document too.
+    # Each distinct output label tuple is tested once per document.
     labelled: set[tuple] = set()
-    table: dict = {}
+    rows: dict[tuple, list] = {}
     # Exact-type tests pass on every well-formed row and entry.  Where
     # one fails, the part is read again through _require and _str_list,
     # which raise its fault at its location, or accept it (an int "p").
-    for i, row_doc in enumerate(rows_doc):
+    for i, row_doc in enumerate(_require(doc, "rows", list, where)):
         xs = row_doc.get("in") if type(row_doc) is dict else None
         if type(xs) is not list or not all(type(v) is str for v in xs):
             rw = f"{where}.rows[{i}]"
             xs = _str_list(_require(row_doc, "in", list, rw), rw + ".in")
         x = tuple(xs)
-        if x in table:
+        if x in rows:
             raise SchemaError(f"{where}.rows[{i}]: duplicate input {x!r}")
         outs = row_doc.get("out")
         if type(outs) is not list:
             outs = _require(row_doc, "out", list, f"{where}.rows[{i}]")
-        row: dict = {}
+        entries = rows[x] = []
         for j, out_doc in enumerate(outs):
             if type(out_doc) is dict:
                 val, p = out_doc.get("val"), out_doc.get("p")
@@ -289,19 +283,8 @@ def kernel_from_json(doc: Any, where: str = "kernel") -> SubKernel:
                 val = _str_list(_require(out_doc, "val", list, ow), ow + ".val")
                 p = _require(out_doc, "p", (str, int), ow)
                 y = tuple(val)
-            q = parsed.get(p)
-            if q is None:
-                q = parse_fraction(p)
-                if q.numerator < 0:
-                    # Checked before repeats are summed, which could cancel it.
-                    raise NegativeProbability(
-                        f"entry ({x!r} -> {y!r}) has negative probability {q}"
-                    )
-                if type(p) is str:
-                    parsed[p] = q
-            row[y] = row[y] + q if y in row else q
-        table[x] = row
-    return make_kernel(dom, cod, table)
+            entries.append((y, p))
+    return _checked_kernel(dom, cod, rows.items())
 
 
 # -- environments and diagram terms ----------------------------------------

@@ -13,10 +13,9 @@ equal to 1: the row of a partial function.  compose, tensor and the
 row operations work on these integers alone; Fractions appear only
 where a value is read, through prob, mass, row and the rows view, a
 read-only mapping of mappings of reduced Fractions built on its first
-read.  make_kernel checks labels, signs and row masses, and stores the
-integer rows its mass check computes; it takes a Fraction entry as it
-is, so the table of Fractions that codec.kernel_from_json hands it is
-not parsed twice.
+read.  make_kernel checks labels, probabilities, signs and row masses
+in one walk over the entries, which codec.kernel_from_json also hands
+its rows to, and stores the integer rows its mass check computes.
 
 compose numbers the output outcomes in first-seen order; each of g's
 rows, placed in context, becomes one tuple of output numbers, shared
@@ -63,7 +62,6 @@ from .errors import (
 )
 
 Outcome = tuple[str, ...]
-Row = dict[Outcome, Fraction]
 # A stored row: (D, {output: numerator over D}), no numerator zero and
 # no factor common to D and every numerator.
 IntRow = tuple[int, dict[Outcome, int]]
@@ -121,7 +119,12 @@ def _as_outcome(value, at: Obj, what: str) -> Outcome:
     """Coerce a label / sequence of labels to a validated outcome of `at`."""
     if isinstance(value, str):
         value = (value,)
-    out = tuple(value)
+    try:
+        out = tuple(value)
+    except TypeError:  # neither a label nor a sequence of labels
+        raise UnknownLabel(
+            f"{what} {value!r} is not a label or a sequence of labels"
+        ) from None
     if len(out) != len(at.factors):
         raise UnknownLabel(
             f"{what} {out!r} has {len(out)} labels, object {at!r} has "
@@ -144,27 +147,16 @@ class SubKernel:
 
     Rows are stored as IntRows (see the module docstring); zero entries
     and all-fail rows are never stored, so structural equality
-    coincides with semantic equality.  SubKernel(dom, cod, rows) takes
-    a table of non-negative Fractions, trusted to be a kernel's
-    (make_kernel is the validated entry), and drops its zeros.  A
-    kernel is immutable: its attributes cannot be set, and rows, row(x)
-    and their rows are read-only mappings.
+    coincides with semantic equality.  SubKernel(dom, cod, table) is
+    make_kernel(dom, cod, table).  A kernel is immutable: its
+    attributes cannot be set, and rows, row(x) and their rows are
+    read-only mappings.
     """
 
     __slots__ = ("dom", "cod", "_rows", "_view")
 
-    def __init__(
-        self, dom: Obj, cod: Obj, rows: Mapping[Outcome, Row] = _NO_ROW
-    ) -> None:
-        stored = {}
-        for x, row in rows.items():
-            row = {y: q for y, q in row.items() if q}
-            if row:
-                den = lcm(*(q.denominator for q in row.values()))
-                stored[x] = den, {
-                    y: q.numerator * (den // q.denominator) for y, q in row.items()
-                }
-        _init(self, dom, cod, stored)
+    def __init__(self, dom: Obj, cod: Obj, table: Mapping = _NO_ROW) -> None:
+        _init(self, dom, cod, make_kernel(dom, cod, table)._rows)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -290,35 +282,48 @@ def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
     (see parse_fraction).  Raises SchemaError on any other probability
     or on two keys that name one input, NegativeProbability,
     RowMassExceedsOne (naming the offending input tuple), or
-    UnknownLabel.  Faults are found row by row, and within a row entry
-    by entry: an entry's labels, then its probability, then its sign.
-
-    This is also the last step of codec.kernel_from_json, which hands
-    over a table of Fractions: a Fraction is taken as it is, with no
-    call to parse_fraction.
+    UnknownLabel, also on a key that is no label or sequence of labels.
+    Faults are found row by row, and within a row entry by entry: an
+    entry's labels, then its probability, then its sign; then the mass.
     """
+    return _checked_kernel(dom, cod, ((x, row.items()) for x, row in table.items()))
+
+
+def _checked_kernel(dom: Obj, cod: Obj, rows_in: Iterable) -> SubKernel:
+    """make_kernel over (input, [(output, p), ...]) rows, an output's
+    repeats summed: the one walk that checks a kernel's entries, also
+    for codec.kernel_from_json, which hands over each p as it is."""
     rows: dict[Outcome, IntRow] = {}
     # Output tuples already checked against cod: each is checked once.
     outputs: set[Outcome] = set()
     inputs: set[Outcome] = set()  # rows holds only the nonempty rows
-    for x_raw, row_raw in table.items():
+    # Each distinct probability string is parsed once per kernel.  Only
+    # strings are kept: as dict keys, True and 1 are one key.
+    parsed: dict[str, Fraction] = {}
+    for x_raw, entries in rows_in:
         x = _as_outcome(x_raw, dom, "input")
         if x in inputs:
             raise SchemaError(f"duplicate input {x!r}")
         inputs.add(x)
         # Each output's (numerator, denominator), read once per entry.
         acc: dict[Outcome, tuple[int, int]] = {}
-        for y_raw, p in row_raw.items():
+        for y_raw, p in entries:
             if type(y_raw) is tuple and y_raw in outputs:
                 y = y_raw
             else:
                 y = _as_outcome(y_raw, cod, "output")
                 outputs.add(y)
-            if type(p) is not Fraction:
+            if type(p) is str:
+                q = parsed.get(p)
+                if q is None:
+                    q = parsed[p] = parse_fraction(p)
+                p = q
+            elif type(p) is not Fraction:
                 p = parse_fraction(p)
             n = p.numerator
             if n <= 0:  # one test for both, as nearly every entry is positive
                 if n:
+                    # Checked before repeats are summed, which could cancel it.
                     raise NegativeProbability(
                         f"entry ({x!r} -> {y!r}) has negative probability {p}"
                     )

@@ -25,6 +25,8 @@ from pmc.errors import (
 )
 from pmc.kernel import Alphabet, Obj, UNIT, obj, state
 
+from test_kernel import reference_entry_walk
+
 B = Alphabet("bool", ("t", "f"))
 BO = obj(B)
 
@@ -281,44 +283,25 @@ def test_negative_entry_is_not_cancelled_by_a_repeat(entries):
 
 
 def reference_kernel_from_json(doc, where="kernel"):
-    """kernel_from_json without memoised parsing: every entry's
-    probability is parsed, sign-checked and label-checked on its own,
-    then every row's mass is summed in Fractions."""
+    """kernel_from_json as two plain walks: the JSON shape of the whole
+    document, each part read where it stands with no fast path, then
+    make_kernel's per-entry reference walk over the rows, with each "p"
+    as the document holds it."""
     dom = codec.obj_from_json(codec._require(doc, "dom", list, where), where + ".dom")
     cod = codec.obj_from_json(codec._require(doc, "cod", list, where), where + ".cod")
-    rows_doc = codec._require(doc, "rows", list, where)
-    table = {}
-    for i, row_doc in enumerate(rows_doc):
+    rows = {}
+    for i, row_doc in enumerate(codec._require(doc, "rows", list, where)):
         rw = f"{where}.rows[{i}]"
         x = tuple(codec._str_list(codec._require(row_doc, "in", list, rw), rw + ".in"))
-        if x in table:
+        if x in rows:
             raise SchemaError(f"{rw}: duplicate input {x!r}")
-        row = {}
+        rows[x] = []
         for j, out_doc in enumerate(codec._require(row_doc, "out", list, rw)):
             ow = f"{rw}.out[{j}]"
             val = codec._require(out_doc, "val", list, ow)
             y = tuple(codec._str_list(val, ow + ".val"))
-            p = codec.parse_fraction(codec._require(out_doc, "p", (str, int), ow))
-            if p < 0:
-                raise NegativeProbability(
-                    f"entry ({x!r} -> {y!r}) has negative probability {p}"
-                )
-            row[y] = row[y] + p if y in row else p
-        table[x] = row
-    rows = {}
-    for x_raw, row_raw in table.items():
-        x = K._as_outcome(x_raw, dom, "input")
-        acc = {}
-        for y_raw, p in row_raw.items():
-            y = K._as_outcome(y_raw, cod, "output")
-            if p:
-                acc[y] = p
-        mass = sum(acc.values(), Fraction(0))
-        if mass > 1:
-            raise RowMassExceedsOne(f"row at input {x!r} has mass {mass} > 1")
-        if acc:
-            rows[x] = acc
-    return K.SubKernel(dom, cod, rows)
+            rows[x].append((y, codec._require(out_doc, "p", (str, int), ow)))
+    return reference_entry_walk(dom, cod, rows.items())
 
 
 _LABELS = ("a", "b", "c")
@@ -486,16 +469,53 @@ def _one_row(*outs):
     }
 
 
+def _two_rows(out0, out1):
+    """A kernel bool -> bool with one entry at "t" and one at "f", each
+    given as its entry object."""
+    bool_ = [{"name": "b", "labels": ["t", "f"]}]
+    return {
+        "dom": bool_,
+        "cod": bool_,
+        "rows": [{"in": ["t"], "out": [out0]}, {"in": ["f"], "out": [out1]}],
+    }
+
+
+# Documents with more than one fault, and the one reported: the JSON
+# shape of the whole document first, then row by row each entry's
+# labels, rational and sign, then the row's mass.
+_FIRST_FAULTS = [
+    (_one_row(("zz", "-1/2")), UnknownLabel, "output label 'zz' not in alphabet 'b'"),
+    (
+        _two_rows({"val": ["zz"], "p": "1"}, {"val": ["t"], "p": "-1/2"}),
+        UnknownLabel,
+        "output label 'zz' not in alphabet 'b'",
+    ),
+    (
+        _two_rows({"val": ["zz"], "p": "1"}, {"val": ["t"]}),
+        SchemaError,
+        "kernel.rows[1].out[0]: missing key 'p'",
+    ),
+]
+
+
 @given(kernel_docs())
 @example(_one_row(("t", 1), ("t", True)))
 @example(_one_row(("t", "1/2"), ("f", "1/2"), ("t", "1/2")))
 @example(_one_row(("t", "-1/2"), ("t", "1/2"), ("f", "1/2")))
 @example(_one_row(("t", "-1/4"), ("t", "1/2"), ("f", "3/4")))
 @example(_one_row(("f", "0"), ("t", "1/3"), ("f", "1/3"), ("zz", "0")))
+@example(_FIRST_FAULTS[0][0])
+@example(_FIRST_FAULTS[1][0])
+@example(_FIRST_FAULTS[2][0])
 def test_kernel_from_json_matches_per_entry_reference(doc):
     assert _outcome(codec.kernel_from_json, doc) == _outcome(
         reference_kernel_from_json, doc
     )
+
+
+@pytest.mark.parametrize("doc, error, message", _FIRST_FAULTS)
+def test_kernel_from_json_reports_the_first_fault_in_order(doc, error, message):
+    assert _outcome(codec.kernel_from_json, doc) == ("raised", error, message)
 
 
 # -- terms and environments --------------------------------------------------

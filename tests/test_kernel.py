@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 from functools import reduce
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 import hypothesis.strategies as st
@@ -117,25 +118,55 @@ def test_make_kernel_rejects_unknown_labels():
     with pytest.raises(UnknownLabel) as err:
         K.dirac(obj(wide), [["v0"]])
     assert str(err.value) == "point label ['v0'] not in alphabet 'w'"
+    # A key that is neither a label nor a sequence of labels.
+    with pytest.raises(UnknownLabel, match=r"^input 5 is not a label or a sequence of labels$"):
+        bk({5: {"t": 1}})
+    with pytest.raises(UnknownLabel, match=r"^output None is not a label"):
+        bk({"t": {None: 1}})
+    with pytest.raises(UnknownLabel, match=r"^output 3 is not a label"):
+        K.state(BO, {3: "1/2"})
+    with pytest.raises(UnknownLabel, match=r"^output 7 is not a label"):
+        bk({"t": {"t": 1}}).prob("t", 7)
     # The label set is not part of an alphabet's identity or text.
     assert wide == Alphabet("w", tuple(f"v{i}" for i in range(32)))
     assert hash(wide) == hash(("w", wide.labels))
     assert repr(wide) == f"Alphabet('w', {list(wide.labels)!r})"
 
 
-def reference_make_kernel(dom, cod, table):
-    """make_kernel entry by entry: each key is label-checked and each
-    probability parsed and sign-checked where it stands, then each row's
-    mass is summed in Fractions."""
-    seen, rows = set(), {}
-    for x_raw, row_raw in table.items():
-        x = K._as_outcome(x_raw, dom, "input")
+def reference_outcome(value, at, what):
+    """make_kernel's reading of one key, written out: a bare label, or
+    a sequence of one known label per factor of at."""
+    if isinstance(value, str):
+        value = (value,)
+    if not isinstance(value, (tuple, list)):
+        raise UnknownLabel(f"{what} {value!r} is not a label or a sequence of labels")
+    out = tuple(value)
+    if len(out) != len(at.factors):
+        raise UnknownLabel(
+            f"{what} {out!r} has {len(out)} labels, object {at!r} has "
+            f"{len(at.factors)} factors"
+        )
+    for label, alpha in zip(out, at.factors):
+        if label not in alpha.labels:
+            raise UnknownLabel(f"{what} label {label!r} not in alphabet {alpha.name!r}")
+    return out
+
+
+def reference_entry_walk(dom, cod, rows):
+    """make_kernel's walk over (input, [(output, p), ...]) rows, entry
+    by entry: each key is label-checked and each probability parsed and
+    sign-checked where it stands, then each row's mass is summed in
+    Fractions.  The kernel it returns holds those Fractions as a plain
+    table, so it shares no storage code with make_kernel either."""
+    seen, kept = set(), {}
+    for x_raw, entries in rows:
+        x = reference_outcome(x_raw, dom, "input")
         if x in seen:
             raise SchemaError(f"duplicate input {x!r}")
         seen.add(x)
         acc = {}
-        for y_raw, p_raw in row_raw.items():
-            y = K._as_outcome(y_raw, cod, "output")
+        for y_raw, p_raw in entries:
+            y = reference_outcome(y_raw, cod, "output")
             p = K.parse_fraction(p_raw)
             if p < 0:
                 raise NegativeProbability(
@@ -147,8 +178,12 @@ def reference_make_kernel(dom, cod, table):
         if mass > 1:
             raise RowMassExceedsOne(f"row at input {x!r} has mass {mass} > 1")
         if acc:
-            rows[x] = acc
-    return SubKernel(dom, cod, rows)
+            kept[x] = acc
+    return SimpleNamespace(dom=dom, cod=cod, rows=kept)
+
+
+def reference_make_kernel(dom, cod, table):
+    return reference_entry_walk(dom, cod, ((x, row.items()) for x, row in table.items()))
 
 
 _TABLE_P = ["0", "1/4", " 1/4", "0.25", "1/3", "1/2", "1", 0, 1, Fraction(1, 4)]
@@ -158,9 +193,9 @@ _TABLE_P += [True, None, 0.5, "x", "1/0", "1e-1"]
 
 @st.composite
 def kernel_tables(draw):
-    """(dom, cod, table) with keys written as tuples, as bare labels or
-    with unknown, missing or extra labels, and probabilities of every
-    kind make_kernel reads or refuses."""
+    """(dom, cod, table) with keys written as tuples, as bare labels,
+    with unknown, missing or extra labels, or as 5 or None, and
+    probabilities of every kind make_kernel reads or refuses."""
     labels = ("a", "b", "c")
 
     def an_obj(lo, name):
@@ -169,9 +204,13 @@ def kernel_tables(draw):
 
     def key(at):
         outcome = [draw(st.sampled_from(a.labels)) for a in at.factors]
-        how = draw(st.sampled_from(["tuple"] * 6 + ["bare", "unknown", "extra", "short"]))
+        how = draw(
+            st.sampled_from(["tuple"] * 6 + ["bare", "unknown", "extra", "short", "int", "none"])
+        )
         if how == "bare" and len(outcome) == 1:
             return outcome[0]
+        if how in ("int", "none"):  # neither a label nor a sequence of labels
+            return 5 if how == "int" else None
         if how == "unknown" and outcome:
             outcome[draw(st.integers(0, len(outcome) - 1))] = "zz"
         elif how == "extra":
@@ -206,6 +245,8 @@ def _made(build, dom, cod, table):
 @example((BO, BO, {"t": {"t": "x", "zz": 1}}))
 @example((BO, BO, {"t": {"t": Fraction(-1, 2), "f": "x"}}))
 @example((BO, BO, {"t": {"t": "3/4", "f": "1/2"}, "zz": {"t": 1}}))
+@example((BO, BO, {5: {"t": 1}}))
+@example((BO, BO, {"t": {None: 1}}))
 def test_make_kernel_matches_per_entry_reference(case):
     assert _made(make_kernel, *case) == _made(reference_make_kernel, *case)
 

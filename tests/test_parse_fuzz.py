@@ -1,13 +1,15 @@
-"""Seeded mutation fuzz of the kernel and problem readers.
+"""Seeded mutation fuzz of the kernel, problem and term readers.
 
-Golden environment and problem documents are mutated at random: a part
-is replaced by a value of another JSON type or by a huge, negative,
-float or malformed number or label, a key or item is deleted, an item
-is duplicated, or a part is replaced by a copy of another part.  Every
-mutant must end in a result or in a PmcError; any other exception
-escapes and fails the test.  Only the standard library's random is used,
-and each mutant has its own seed, so a failure names the mutant that
-reproduces it.
+Golden environment, problem and diagram-term documents are mutated at
+random: a part is replaced by a value of another JSON type or by a
+huge, negative, float or malformed number or label, a key or item is
+deleted, an item is duplicated, or a part is replaced by a copy of
+another part.  Every mutant must end in a result or in a PmcError; any
+other exception escapes and fails the test.  Only the standard
+library's random is used, and each mutant has its own seed, so a
+failure names the mutant that reproduces it.  A mutated term, its
+mutated environment, or both, go through all of `pmc eval`'s steps:
+read, type, evaluate and write.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import time
 from pathlib import Path
 
 from pmc import codec
+from pmc.diagram import evaluate, infer_type
 from pmc.errors import PmcError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -33,6 +36,12 @@ DOCS = [
 ]
 MUTANTS = 300
 BUDGET_S = 3.0
+# The (term, environment) golden pairs that `pmc eval` is checked on.
+PAIRS = [
+    tuple(line.split())
+    for line in (GOLDEN / "eval_pairs.txt").read_text("utf-8").splitlines()
+]
+TERM_MUTANTS = 1000
 
 # Values put in place of a part.  Each use is a fresh deep copy, so a
 # later mutation of the same document cannot change this table.
@@ -103,3 +112,41 @@ def test_mutated_documents_are_read_or_refused():
     assert elapsed < BUDGET_S, f"{MUTANTS} mutants took {elapsed:.2f} s"
     # The mutations reach the readers' checks, not only valid documents.
     assert MUTANTS // 4 < refused < MUTANTS
+
+
+def _eval_text(term_doc, env_doc) -> str:
+    """`pmc eval`'s steps on two documents: the kernel's text."""
+    alphabets, kernels = codec.env_from_json(env_doc)
+    term = codec.term_from_json(term_doc, alphabets, kernels)
+    infer_type(term)
+    return codec.to_text(evaluate(term))
+
+
+def test_mutated_terms_are_evaluated_or_refused():
+    valid = {
+        name: json.loads((GOLDEN / f"{name}.json").read_text("utf-8"))
+        for pair in PAIRS
+        for name in pair
+    }
+    start = time.perf_counter()
+    refused = 0
+    for i in range(TERM_MUTANTS):
+        rng = random.Random(f"term-fuzz:{i}")
+        term_name, env_name = PAIRS[i % len(PAIRS)]
+        term, env = copy.deepcopy(valid[term_name]), copy.deepcopy(valid[env_name])
+        which = rng.choice(["term", "env", "both"])
+        if which != "env":
+            _mutate(rng, term)
+        if which != "term":
+            _mutate(rng, env)
+        try:
+            _eval_text(term, env)
+        except PmcError:
+            refused += 1
+        except Exception as exc:
+            raise AssertionError(
+                f"mutant {i} of {term_name} in {env_name}: {exc!r}"
+            ) from exc
+    elapsed = time.perf_counter() - start
+    assert elapsed < BUDGET_S, f"{TERM_MUTANTS} mutants took {elapsed:.2f} s"
+    assert TERM_MUTANTS // 4 < refused < TERM_MUTANTS

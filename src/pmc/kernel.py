@@ -19,14 +19,22 @@ its rows to, and stores the integer rows its mass check computes.
 
 compose numbers the output outcomes in first-seen order; each of g's
 rows, placed in context, becomes one tuple of output numbers, shared
-by every row of g with the same numbering, and a row of f ; g is
-summed column by column over the terms with one numbering.  compose
-also whiskers: compose(f, g, at=k) is f ; (id (x) g (x) id) with g
-reading the codomain factors of f from the k-th on, and no identity
-kernel is built or multiplied through.  tensor multiplies any number of
-factors out as balanced binary products, in the row and entry order a
-left fold of binary products would give, and never multiplies a row
-whose denominator is 1.
+by every row of g with the same numbering.  A row of f ; g sums the
+terms with one numbering as packed integers (Kronecker substitution):
+each of g's rows is packed once per call and slot width into one
+integer, its numerators in its own order in slots of W bytes, W the
+bytes of the result row's denominator D before reduction, so the sum
+is one big-integer multiply-add per term.  Every column sum is at most
+D, because f's row and each of g's rows have mass at most one and no
+numerator is negative, so no slot carries into the next.  W is taken
+per row of f, never from all of g's denominators: a g with many prime
+denominators would make every slot huge.  A single term is its row
+scaled and is not packed.  compose also whiskers: compose(f, g, at=k)
+is f ; (id (x) g (x) id) with g reading the codomain factors of f from
+the k-th on, and no identity kernel is built or multiplied through.
+tensor multiplies any number of factors out as balanced binary
+products, in the row and entry order a left fold of binary products
+would give, and never multiplies a row whose denominator is 1.
 
 The rest of the package works through compose, tensor, deterministic
 (the kernel of a partial function, which every structural map and point
@@ -46,7 +54,7 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import gcd, lcm, prod
 from operator import mul
 from types import MappingProxyType
@@ -297,9 +305,10 @@ def _checked_kernel(dom: Obj, cod: Obj, rows_in: Iterable) -> SubKernel:
     # Output tuples already checked against cod: each is checked once.
     outputs: set[Outcome] = set()
     inputs: set[Outcome] = set()  # rows holds only the nonempty rows
-    # Each distinct probability string is parsed once per kernel.  Only
-    # strings are kept: as dict keys, True and 1 are one key.
-    parsed: dict[str, Fraction] = {}
+    # Each distinct probability string is parsed once per kernel, and
+    # kept as its (numerator, denominator).  Only strings are kept: as
+    # dict keys, True and 1 are one key.
+    parsed: dict[str, tuple[int, int]] = {}
     for x_raw, entries in rows_in:
         x = _as_outcome(x_raw, dom, "input")
         if x in inputs:
@@ -314,24 +323,25 @@ def _checked_kernel(dom: Obj, cod: Obj, rows_in: Iterable) -> SubKernel:
                 y = _as_outcome(y_raw, cod, "output")
                 outputs.add(y)
             if type(p) is str:
-                q = parsed.get(p)
-                if q is None:
-                    q = parsed[p] = parse_fraction(p)
-                p = q
-            elif type(p) is not Fraction:
-                p = parse_fraction(p)
-            n = p.numerator
-            if n <= 0:  # one test for both, as nearly every entry is positive
-                if n:
+                nd = parsed.get(p)
+                if nd is None:
+                    q = parse_fraction(p)
+                    nd = parsed[p] = q.numerator, q.denominator
+            else:
+                q = p if type(p) is Fraction else parse_fraction(p)
+                nd = q.numerator, q.denominator
+            if nd[0] <= 0:  # one test for both, as nearly every entry is positive
+                if nd[0]:
                     # Checked before repeats are summed, which could cancel it.
                     raise NegativeProbability(
-                        f"entry ({x!r} -> {y!r}) has negative probability {p}"
+                        f"entry ({x!r} -> {y!r}) has negative probability "
+                        f"{Fraction(*nd)}"
                     )
                 continue
             if y in acc:  # two keys may name one outcome ("t" and ("t",))
-                p += Fraction(*acc[y])
-                n = p.numerator
-            acc[y] = n, p.denominator
+                q = Fraction(*acc[y]) + Fraction(*nd)
+                nd = q.numerator, q.denominator
+            acc[y] = nd
         if not acc:
             continue
         den = lcm(*(d for _, d in acc.values()))
@@ -409,12 +419,16 @@ def _numbered_row(
     index: dict[Outcome, int],
     outcomes: list[Outcome],
     numberings: dict[tuple[int, ...], tuple[int, ...]],
-) -> tuple[int, tuple[int, ...], Iterable[int]]:
+    packed: dict[int, int],
+) -> tuple[int, tuple[int, ...], Iterable[int], dict[int, int]]:
     """A row of g with each of its outputs z placed in context as
-    pre + z + post, as (D, numbering, numerators): numbering holds each
-    output's number in row order.  Outputs new to index are numbered in
-    first-seen order and appended to outcomes, so outcomes[i] is output
-    number i.  Equal numberings are one interned tuple."""
+    pre + z + post, as (D, numbering, numerators, packed): numbering
+    holds each output's number in row order, and packed is the row's
+    cache of its numerators packed at each slot width (see _packed),
+    one cache for every context of the row.  Outputs new to index are
+    numbered in first-seen order and appended to outcomes, so
+    outcomes[i] is output number i.  Equal numberings are one interned
+    tuple."""
     den, nums = row
     numbering = []
     for z in nums:
@@ -425,7 +439,18 @@ def _numbered_row(
             outcomes.append(y)
         numbering.append(i)
     key = tuple(numbering)
-    return den, numberings.setdefault(key, key), nums.values()
+    return den, numberings.setdefault(key, key), nums.values(), packed
+
+
+def _packed(gy: tuple, width: int) -> int:
+    """A numbered row's numerators packed into one integer, numerator t
+    in bytes t * width up to (t + 1) * width, little end first, and
+    kept in the row's cache under width."""
+    _, _, nums, packed = gy
+    n = packed[width] = int.from_bytes(
+        b"".join([m.to_bytes(width, "little") for m in nums]), "little"
+    )
+    return n
 
 
 def require_composable(cod: Obj, dom: Obj) -> None:
@@ -453,10 +478,17 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
     A row of f over D_f with numerators n_y gives one term per y where
     g has a row, over D_y.  Over M, the lcm of those D_y, the term's
     scale is n_y * (M // D_y), and the row is summed over D_f * M, then
-    reduced.  Terms sharing a numbering are summed column by column,
-    each column one sum of products; the columns then land on their
-    output numbers in first-seen order, which is the order the outputs
-    are first met through f's row and each of g's rows in turn.
+    reduced.  Terms sharing a numbering are summed together: one term
+    is its row times its scale, and two or more are summed as packed
+    integers, one multiply-add per term.  Each numerator of g's row
+    takes a slot of W bytes (see _packed), W the bytes of D_f * M, and
+    no slot carries into the next: a slot's sum is at most its
+    column's sum, and summing every column gives at most
+    sum(n_y * (M // D_y) * D_y) = M * sum(n_y) <= D_f * M, as every
+    numerator is positive and every row's mass is at most one.  The
+    column sums then land on their output numbers in first-seen order,
+    which is the order the outputs are first met through f's row and
+    each of g's rows in turn.
     """
     if at is None:
         require_composable(f.cod, g.dom)
@@ -468,24 +500,34 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
                 f"cannot compose: offset {k} does not place domain "
                 f"{g.dom!r} inside first codomain {f.cod!r}"
             )
-        left, right = Obj(f.cod.factors[:k]), Obj(f.cod.factors[j:])
-        require_composable(f.cod, left.tensor(g.dom).tensor(right))
-        cod = left.tensor(g.cod).tensor(right)
+        factors = f.cod.factors
+        if factors[k:j] != g.dom.factors:
+            left, right = Obj(factors[:k]), Obj(factors[j:])
+            require_composable(f.cod, left.tensor(g.dom).tensor(right))
+        cod = Obj(factors[:k] + g.cod.factors + factors[j:])
     index: dict[Outcome, int] = {}
     outcomes: list[Outcome] = []
     numberings: dict[tuple[int, ...], tuple[int, ...]] = {}
     grows = g._rows
+    # Each row of g's packing cache, shared by all its contexts.
+    packs: dict[Outcome, dict[int, int]] = {}
     # g's row numbered for each output y of f, or () where g has none.
     g_at: dict[Outcome, tuple] = {}
+    # The byte slices of the slots of a packed sum, by (width, count).
+    slots: dict[tuple[int, int], list[slice]] = {}
     rows: dict[Outcome, IntRow] = {}
     for x, (fden, frow) in f._rows.items():
         terms = []
         for y, n in frow.items():
             gy = g_at.get(y)
             if gy is None:
-                grow = grows.get(y[k:j])
+                gx = y[k:j]
+                grow = grows.get(gx)
                 gy = g_at[y] = (
-                    _numbered_row(grow, y[:k], y[j:], index, outcomes, numberings)
+                    _numbered_row(
+                        grow, y[:k], y[j:], index, outcomes, numberings,
+                        packs.setdefault(gx, {}),
+                    )
                     if grow
                     else ()
                 )
@@ -494,19 +536,34 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
         if not terms:
             continue
         lden = lcm(*[gy[0] for _, gy in terms])
+        den = fden * lden
+        width = (den.bit_length() + 7) // 8
         # An interned numbering is keyed by identity, never hashed again.
         groups: dict[int, tuple[tuple[int, ...], list[int], list]] = {}
-        for n, (gden, numbering, nums) in terms:
-            group = groups.get(id(numbering))
+        for n, gy in terms:
+            group = groups.get(id(gy[1]))
             if group is None:
-                group = groups[id(numbering)] = (numbering, [], [])
-            group[1].append(n * (lden // gden))
-            group[2].append(nums)
+                group = groups[id(gy[1])] = (gy[1], [], [])
+            group[1].append(n * (lden // gy[0]))
+            group[2].append(gy)
         acc: dict[int, int] = {}
-        for numbering, scales, numss in groups.values():
-            for i, column in zip(numbering, zip(*numss)):
-                acc[i] = acc.get(i, 0) + sum(map(mul, scales, column))
-        den = fden * lden
+        for numbering, scales, gys in groups.values():
+            if len(gys) == 1:
+                sums = map(scales[0].__mul__, gys[0][2])
+            else:
+                # No packed row is 0, as every numerator is positive.
+                packed = [gy[3].get(width) or _packed(gy, width) for gy in gys]
+                b = sum(map(mul, scales, packed)).to_bytes(
+                    width * len(numbering), "little"
+                )
+                cuts = slots.get((width, len(numbering)))
+                if cuts is None:
+                    cuts = slots[width, len(numbering)] = [
+                        slice(t, t + width) for t in range(0, len(b), width)
+                    ]
+                sums = map(int.from_bytes, map(b.__getitem__, cuts), repeat("little"))
+            for i, s in zip(numbering, sums):
+                acc[i] = acc.get(i, 0) + s
         c = gcd(den, *acc.values())
         rows[x] = den // c, {outcomes[i]: s // c for i, s in acc.items()}
     return _trusted_kernel(f.dom, cod, rows)

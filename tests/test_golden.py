@@ -31,7 +31,10 @@ are Tensors of comparators, of Ids only, of two generators (one
 partial), of a nested Compose, and of an observation beside a Copy, a
 top-level tensor of a partial generator, a second generator, a Copy
 and a Swap, and a plain domain beside a codomain of plain and escaped
-labels whose rows were declared out of order.  The corpus_*.json files
+labels whose rows were declared out of order, and a chain of three
+generators whose rows sum over denominators at or either side of byte
+boundaries (256, 65,536, and 255 * 256 * 257 and 256 * 256 * 257 about
+2**24), the first two carrying a row's whole mass in one column.  The corpus_*.json files
 hold every built-in decision problem, kernels nested in a problem.
 
 and random_kernels.txt is the text random_kernels_text() below returns.
@@ -84,7 +87,7 @@ def _eval(term, env):
         *(_eval(term, env) for term, env in EVAL_PAIRS[:4]),
         (["corpus", "newcomb"], "corpus_newcomb.json"),
         # Later, so that the parameter ids above keep their numbers.
-        *(_eval(term, env) for term, env in EVAL_PAIRS[4:]),
+        *(_eval(term, env) for term, env in EVAL_PAIRS[4:8]),
         *(
             (["corpus", name], f"corpus_{name}.json")
             for name in (
@@ -99,6 +102,8 @@ def _eval(term, env):
             ["corpus", "death-in-damascus", "--printed-table"],
             "corpus_death-in-damascus-printed-table.json",
         ),
+        # Last, for the same reason.
+        *(_eval(term, env) for term, env in EVAL_PAIRS[8:]),
     ],
 )
 def test_cli_output_matches_golden(argv, golden, capsys):

@@ -7,7 +7,7 @@ import pickle
 import time
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -450,6 +450,28 @@ def composable_pairs(draw):
     return draw(kernels(dom=a, cod=b)), draw(kernels(dom=b, cod=c))
 
 
+def _carry_f(den0, den1):
+    """f : bool -> bool with total rows over den0 and den1, each putting
+    1 / den on t and the rest on f."""
+    return bk({
+        "t": {"t": Fraction(1, den0), "f": Fraction(den0 - 1, den0)},
+        "f": {"t": Fraction(1, den1), "f": Fraction(den1 - 1, den1)},
+    })
+
+
+A4 = Alphabet("four", ("p", "q", "r", "s"))
+_WIDTHS_F = make_kernel(obj(A4), BO, {
+    "p": {"t": Fraction(1, 17), "f": Fraction(2, 17)},
+    "q": {"t": Fraction(1, 4099), "f": Fraction(4000, 4099)},
+    "r": {"t": Fraction(3, 65537), "f": Fraction(65534, 65537)},
+    "s": {"t": Fraction(1, 2**70 + 25), "f": Fraction(2**69, 2**70 + 25)},
+})
+_WIDTHS_G = make_kernel(BO, obj(A4), {
+    "t": {"p": Fraction(1, 3), "q": Fraction(1, 3), "r": Fraction(1, 3)},
+    "f": {"p": Fraction(1, 5), "q": Fraction(2, 5), "r": Fraction(2, 5)},
+})
+
+
 def first_seen_outputs(f, g, x):
     """Outputs of (f ; g) at x in the order the row is summed: through
     f's row in order, then each g row in order, first sight only."""
@@ -481,6 +503,20 @@ def first_seen_outputs(f, g, x):
             }
         ),
     )
+)
+@example(
+    # One output column carries each total row's whole mass: its sum is
+    # the row's denominator, 255 and then 256, one byte and two.
+    (_carry_f(255, 256), bk({"t": {"t": 1}, "f": {"t": 1}}))
+)
+@example(
+    # The same at 65,536, the first denominator of three bytes.
+    (_carry_f(65536, 65535), bk({"t": {"t": 1}, "f": {"t": 1}}))
+)
+@example(
+    # Rows of f of one, two, three and ten slot bytes in one call, the
+    # last over a denominator of 71 bits, all reaching g's two rows.
+    (_WIDTHS_F, _WIDTHS_G)
 )
 def test_compose_matches_naive_sum(pair):
     f, g = pair
@@ -580,6 +616,53 @@ def test_compose_at_an_offset_outside_the_codomain_raises(at):
         "first codomain bool (x) bool"
     )
     assert K.compose(f, g, at=2).cod == Obj(BO.factors * 3)
+
+
+def _slot_bytes(f, g, x):
+    """The bytes compose gives each column of row x of f ; g: those of
+    the row's denominator before reduction, f's row denominator times
+    the lcm of the denominators of the rows of g it reaches."""
+    f_den = lcm(*(q.denominator for q in f.rows[x].values()))
+    g_den = lcm(*(q.denominator for y in f.rows[x] for q in g.rows.get(y, {}).values()))
+    return ((f_den * g_den).bit_length() + 7) // 8
+
+
+def test_compose_column_sums_on_byte_boundaries():
+    # compose sums each group of g's rows as integers packed into slots
+    # as wide as the row's unreduced denominator.  Each case puts column
+    # sums at or next to a byte boundary of that denominator.
+    # test_compose_matches_naive_sum's examples are these kernels.
+    carry = bk({"t": {"t": 1}, "f": {"t": 1}})
+    for den0, den1, widths in ((255, 256, (1, 2)), (65536, 65535, (3, 2))):
+        f = _carry_f(den0, den1)
+        assert [_slot_bytes(f, carry, x) for x in f.rows] == list(widths)
+        h = K.compose(f, carry)
+        assert h.rows == naive_compose_rows(f, carry) == {
+            ("t",): {("t",): 1}, ("f",): {("t",): 1}
+        }
+    assert [_slot_bytes(_WIDTHS_F, _WIDTHS_G, x) for x in _WIDTHS_F.rows] == [
+        1, 2, 3, 10
+    ]
+    # A whiskered g met in two contexts, ("t",) and ("f",) after g's
+    # input, within one row: each context sums g's two rows packed, at
+    # the widths of the rows over 256, 65,537 and 2**64 + 13.
+    g = make_kernel(BO, obj(A3), {
+        "t": {"x": Fraction(1, 3), "y": Fraction(2, 3)},
+        "f": {"x": Fraction(3, 4), "y": Fraction(1, 4)},
+    })
+    wire = obj(B, B)
+    for den in (256, 65537, 2**64 + 13):
+        f = make_kernel(BO, wire, {
+            "t": {
+                ("t", "t"): Fraction(1, den), ("f", "t"): Fraction(den // 2, den),
+                ("t", "f"): Fraction(1, den), ("f", "f"): Fraction(den // 2 - 2, den),
+            },
+            "f": {("f", "f"): Fraction(den - 1, den)},
+        })
+        whiskered = K.tensor(g, K.identity(BO))
+        h = K.compose(f, g, at=0)
+        assert h.rows == naive_compose_rows(f, whiskered)
+        assert h == K.compose(f, whiskered)
 
 
 def test_compose_prime_denominator_chain_matches_integer_product():

@@ -10,6 +10,16 @@ library's random is used, and each mutant has its own seed, so a
 failure names the mutant that reproduces it.  A mutated term, its
 mutated environment, or both, go through all of `pmc eval`'s steps:
 read, type, evaluate and write.
+
+Few of those mutants are still valid: of the 1000 term mutants, 30
+evaluate.  So a second kind of mutant keeps its documents well-formed
+and well-typed: a subterm is replaced by a copy of another subterm of
+the same type, or wrapped in a one-term Compose or Tensor or beside an
+identity, an observed point is moved to other labels, or a
+generator's row is split anew over the same outputs with the same
+mass.  Each of the 400 such mutants must evaluate, and 393 of them
+differ from their goldens.  Every mutant that evaluates must equal
+test_diagram._fold, the plain evaluator.
 """
 
 from __future__ import annotations
@@ -18,11 +28,14 @@ import copy
 import json
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from pmc import codec
 from pmc.diagram import evaluate, infer_type
 from pmc.errors import PmcError
+
+from test_diagram import _fold
 
 GOLDEN = Path(__file__).parent / "golden"
 READERS = {"env": codec.env_from_json, "problem": codec.problem_from_json}
@@ -42,6 +55,7 @@ PAIRS = [
     for line in (GOLDEN / "eval_pairs.txt").read_text("utf-8").splitlines()
 ]
 TERM_MUTANTS = 1000
+WELL_FORMED_MUTANTS = 400
 
 # Values put in place of a part.  Each use is a fresh deep copy, so a
 # later mutation of the same document cannot change this table.
@@ -115,11 +129,75 @@ def test_mutated_documents_are_read_or_refused():
 
 
 def _eval_text(term_doc, env_doc) -> str:
-    """`pmc eval`'s steps on two documents: the kernel's text."""
+    """`pmc eval`'s steps on two documents: the kernel's text.  The
+    kernel must be the plain fold's."""
     alphabets, kernels = codec.env_from_json(env_doc)
     term = codec.term_from_json(term_doc, alphabets, kernels)
     infer_type(term)
-    return codec.to_text(evaluate(term))
+    result = evaluate(term)
+    assert result == _fold(term)
+    return codec.to_text(result)
+
+
+def _subterms(holder):
+    """Every (container, key) whose value is a term inside holder."""
+    spots, todo = [], [holder]
+    while todo:
+        node = todo.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            if isinstance(value, dict) and "op" in value:
+                spots.append((node, key))
+                todo.append(value.get("terms", []))
+    return spots
+
+
+def _reshape(rng: random.Random, term, env):
+    """One to three mutations of term and env that keep both valid;
+    returns the term, which may be a new root.  A swap with no other
+    subterm of the same type wraps instead, and a point move with no
+    observation splits a row instead."""
+    holder = [term]
+    alphabets, kernels = codec.env_from_json(env)
+    labels = {a["name"]: a["labels"] for a in env["alphabets"]}
+    for _ in range(rng.randint(1, 3)):
+        how = rng.choice(["swap", "swap", "wrap", "point", "split"])
+        spots = _subterms(holder)
+        seen = [(n, k) for n, k in spots if n[k]["op"] == "observe"]
+        if how == "point" and seen:
+            node, key = rng.choice(seen)
+            node[key]["point"] = [rng.choice(labels[a]) for a in node[key]["obj"]]
+            continue
+        if how in ("point", "split"):
+            rows = [
+                r for k in env["kernels"].values() for r in k["rows"] if len(r["out"]) > 1
+            ]
+            if rows:
+                out = rng.choice(rows)["out"]
+                mass = sum(Fraction(e["p"]) for e in out)
+                weights = [rng.randint(1, 9) for _ in out]
+                for e, w in zip(out, weights):
+                    e["p"] = str(mass * w / sum(weights))
+            continue
+        typed = [
+            (node, key, infer_type(codec.term_from_json(node[key], alphabets, kernels)))
+            for node, key in spots
+        ]
+        node, key, (dom, cod) = rng.choice(typed)
+        others = [n[k] for n, k, t in typed if t == (dom, cod) and n[k] != node[key]]
+        if how == "swap" and others:
+            node[key] = copy.deepcopy(rng.choice(others))
+            continue
+        sub = node[key]
+        ids = [{"op": "id", "obj": [a.name for a in x.factors]} for x in (dom, cod)]
+        node[key] = rng.choice([
+            {"op": "compose", "terms": [sub]},
+            {"op": "tensor", "terms": [sub]},
+            {"op": "compose", "terms": [ids[0], sub]},
+            {"op": "compose", "terms": [sub, ids[1]]},
+            {"op": "tensor", "terms": [{"op": "id", "obj": []}, sub]},
+        ])
+    return holder[0]
 
 
 def test_mutated_terms_are_evaluated_or_refused():
@@ -149,4 +227,32 @@ def test_mutated_terms_are_evaluated_or_refused():
             ) from exc
     elapsed = time.perf_counter() - start
     assert elapsed < BUDGET_S, f"{TERM_MUTANTS} mutants took {elapsed:.2f} s"
+    # 970 are refused and 30 evaluate.
     assert TERM_MUTANTS // 4 < refused < TERM_MUTANTS
+
+
+def test_well_formed_mutants_evaluate_as_the_plain_fold():
+    valid = {
+        name: json.loads((GOLDEN / f"{name}.json").read_text("utf-8"))
+        for pair in PAIRS
+        for name in pair
+    }
+    start = time.perf_counter()
+    changed = 0
+    for i in range(WELL_FORMED_MUTANTS):
+        rng = random.Random(f"well-formed-fuzz:{i}")
+        term_name, env_name = PAIRS[i % len(PAIRS)]
+        term, env = copy.deepcopy(valid[term_name]), copy.deepcopy(valid[env_name])
+        term = _reshape(rng, term, env)
+        changed += (term, env) != (valid[term_name], valid[env_name])
+        try:
+            _eval_text(term, env)
+        except Exception as exc:  # a PmcError too: each mutant is valid
+            raise AssertionError(
+                f"well-formed mutant {i} of {term_name} in {env_name}: {exc!r}"
+            ) from exc
+    elapsed = time.perf_counter() - start
+    assert elapsed < BUDGET_S, f"{WELL_FORMED_MUTANTS} mutants took {elapsed:.2f} s"
+    # A split may draw a row's own probabilities again, so a few mutants
+    # (7) are their goldens.
+    assert changed > WELL_FORMED_MUTANTS * 9 // 10

@@ -255,7 +255,7 @@ def _uniform(at: Obj) -> SubKernel:
 
 def _face_values(payout: Alphabet) -> dict[str, Fraction]:
     """Utilities that give each payout label the number it names."""
-    return {u: Fraction(u) for u in payout.labels}
+    return {u: K.parse_fraction(u) for u in payout.labels}
 
 
 def _bernoulli(dom: Obj, cod: Alphabet, *ps: Fraction) -> SubKernel:

@@ -13,9 +13,9 @@ equal to 1: the row of a partial function.  compose, tensor and the
 row operations work on these integers alone; Fractions appear only
 where a value is read, through prob, mass, row and the rows view, a
 read-only mapping of mappings of reduced Fractions built on its first
-read.  make_kernel checks labels, probabilities, signs and row masses
-in one walk over the entries, which codec.kernel_from_json also hands
-its rows to, and stores the integer rows its mass check computes.
+read.  make_kernel reads probabilities straight into integers and
+checks labels, signs and row masses in one walk over the entries,
+which codec.kernel_from_json also hands its rows to.
 
 compose numbers the output outcomes in first-seen order; each of g's
 rows, placed in context, becomes one tuple of output numbers, shared
@@ -208,7 +208,8 @@ class SubKernel:
         return self.rows.get(_as_outcome(x, self.dom, "input"), _NO_ROW)
 
     def prob(self, x, y) -> Fraction:
-        return self.row(x).get(_as_outcome(y, self.cod, "output"), Fraction(0))
+        row = self._rows.get(_as_outcome(x, self.dom, "input"), (1, {}))
+        return Fraction(row[1].get(_as_outcome(y, self.cod, "output"), 0), row[0])
 
     def mass(self, x) -> Fraction:
         """Success probability of the row at x (zero if the row is absent)."""
@@ -246,40 +247,44 @@ def _reduced(den: int, nums: dict[Outcome, int]) -> IntRow:
 
 
 # The rational strings of README "File formats": [sign] int ["/" int],
-# or a decimal with digits on at least one side of the point, with
-# whitespace around, in ASCII digits and whitespace only.  It is checked
-# before Fraction() reads the string, so the grammar is the same on
-# every Python: Fraction() also reads "_" between digits (from 3.11),
-# spaces around "/" (from 3.12), exponents and non-ASCII digits, and
-# "1e-10000000", 11 characters, would build a 33-million-bit
-# denominator.  No run of digits may be longer than Python's default
-# int conversion limit, 4300 digits: Fraction() works on a long decimal
-# in time superlinear in its length before int() refuses it.
+# the denominator not zero, or a decimal with digits on at least one
+# side of the point, with whitespace around, in ASCII digits and
+# whitespace only.  No exponents: "1e-10000000" would ask for a
+# 33-million-bit denominator.  No run of digits is longer than Python's
+# default int conversion limit, 4300 digits, so int() reads each run.
 _DIGITS = r"\d{1,4300}"
 _RATIONAL = re.compile(
-    rf"\s*[+-]?(?:{_DIGITS}(?:/{_DIGITS})?|{_DIGITS}\.\d{{0,4300}}|\.{_DIGITS})\s*",
+    rf"\s*([+-]?)(?:({_DIGITS})(?:/(?=0*[1-9])({_DIGITS}))?"
+    rf"|(?=\.?\d)(\d{{0,4300}})\.(\d{{0,4300}}))\s*",
     re.ASCII,
 )
 
 
+def _ratio(value: Any) -> tuple[int, int]:
+    """The reduced (numerator, denominator) of a Fraction, an int or a
+    string in the _RATIONAL grammar: the one conversion of a rational to
+    integers.  Anything else, bools and floats included, is SchemaError."""
+    if isinstance(value, (Fraction, int)) and not isinstance(value, bool):
+        return value.numerator, value.denominator
+    m = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if m is None:
+        raise SchemaError(f"not a rational: {value!r}")
+    sign, num, den, whole, frac = m.groups()
+    if num is None:  # a decimal; each run is read alone, within int()'s limit
+        d = 10 ** len(frac)
+        n = int(whole or 0) * d + int(frac or 0)
+    else:
+        n, d = int(num), int(den or 1)
+    c = gcd(n, d)
+    return (-n if sign == "-" else n) // c, d // c
+
+
 def parse_fraction(value: Any) -> Fraction:
-    """The one reader of a caller's or a file's rational: a Fraction, as
-    it is, an int, or a string in the _RATIONAL grammar; anything else,
-    bools and floats included, raises SchemaError."""
+    """The one reader of a caller's or a file's rational: a Fraction as
+    it is, anything else as _ratio reads it."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise SchemaError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
-            raise SchemaError(f"not a rational: {value!r}")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"not a rational: {value!r}") from exc
-    raise SchemaError(f"not a rational: {value!r}")
+    return Fraction(*_ratio(value))
 
 
 def make_kernel(dom: Obj, cod: Obj, table: Mapping) -> SubKernel:
@@ -305,9 +310,8 @@ def _checked_kernel(dom: Obj, cod: Obj, rows_in: Iterable) -> SubKernel:
     # Output tuples already checked against cod: each is checked once.
     outputs: set[Outcome] = set()
     inputs: set[Outcome] = set()  # rows holds only the nonempty rows
-    # Each distinct probability string is parsed once per kernel, and
-    # kept as its (numerator, denominator).  Only strings are kept: as
-    # dict keys, True and 1 are one key.
+    # Each distinct probability string's _ratio, read once per kernel.
+    # Only strings are kept: as dict keys, True and 1 are one key.
     parsed: dict[str, tuple[int, int]] = {}
     for x_raw, entries in rows_in:
         x = _as_outcome(x_raw, dom, "input")
@@ -322,14 +326,11 @@ def _checked_kernel(dom: Obj, cod: Obj, rows_in: Iterable) -> SubKernel:
             else:
                 y = _as_outcome(y_raw, cod, "output")
                 outputs.add(y)
-            if type(p) is str:
-                nd = parsed.get(p)
-                if nd is None:
-                    q = parse_fraction(p)
-                    nd = parsed[p] = q.numerator, q.denominator
-            else:
-                q = p if type(p) is Fraction else parse_fraction(p)
-                nd = q.numerator, q.denominator
+            nd = parsed.get(p) if type(p) is str else None
+            if nd is None:
+                nd = _ratio(p)
+                if type(p) is str:
+                    parsed[p] = nd
             if nd[0] <= 0:  # one test for both, as nearly every entry is positive
                 if nd[0]:
                     # Checked before repeats are summed, which could cancel it.
@@ -339,8 +340,7 @@ def _checked_kernel(dom: Obj, cod: Obj, rows_in: Iterable) -> SubKernel:
                     )
                 continue
             if y in acc:  # two keys may name one outcome ("t" and ("t",))
-                q = Fraction(*acc[y]) + Fraction(*nd)
-                nd = q.numerator, q.denominator
+                nd = _ratio(Fraction(*acc[y]) + Fraction(*nd))
             acc[y] = nd
         if not acc:
             continue

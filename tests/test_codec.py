@@ -67,7 +67,9 @@ def test_fraction_parsing():
     ["1e-10000000", "1E5", "2.5e-1", "1e0", "1_000/3", "1 / 2", "1/ 2", "1/-2", ".", "+"]
     # Fraction() reads non-ASCII digits and whitespace too; the grammar
     # is ASCII only.
-    + ["\u0663/\u0664", "\uff11/\uff12", "\xa01/2", "1/2\u2003"],
+    + ["\u0663/\u0664", "\uff11/\uff12", "\xa01/2", "1/2\u2003"]
+    # A zero denominator, in any number of digits.
+    + ["1/0", " -3/000 "],
 )
 def test_strings_outside_the_rational_grammar_are_refused(text):
     start = time.perf_counter()
@@ -95,6 +97,57 @@ def test_digit_runs_up_to_the_int_limit_are_read():
     assert codec.parse_fraction("9" * 4300) == n
     assert codec.parse_fraction(f"1/{n}") == Fraction(1, n)
     assert codec.parse_fraction("0." + "9" * 4300) == Fraction(n, n + 1)
+    # Each run of a decimal is read apart: joined, the two would be
+    # 8600 digits, past what int() reads.
+    assert codec.parse_fraction("9" * 4300 + "." + "9" * 4300) == n + Fraction(n, n + 1)
+
+
+_DIGIT_CHARS = "0123456789"
+# Short runs of digits, and runs up to the 4300-digit limit.
+_digit_runs = st.one_of(
+    st.text(_DIGIT_CHARS, min_size=1, max_size=6),
+    st.builds(
+        lambda head, n: head + "9" * n,
+        st.text(_DIGIT_CHARS, min_size=1, max_size=6),
+        st.integers(0, 4294),
+    ),
+)
+_space = st.text(" \t\n\r\f\v", max_size=2)
+
+
+@st.composite
+def _rational_strings(draw) -> str:
+    """A string in the README's rational grammar: a sign or none, an
+    integer, a fraction, or a decimal with either side empty, and ASCII
+    whitespace around."""
+    form = draw(st.sampled_from(["int", "fraction", "whole.", ".frac", "whole.frac"]))
+    if form == "int":
+        body = draw(_digit_runs)
+    elif form == "fraction":
+        body = f"{draw(_digit_runs)}/{draw(_digit_runs)}"
+    else:
+        whole = draw(_digit_runs) if form != ".frac" else ""
+        body = f"{whole}.{draw(_digit_runs) if form != 'whole.' else ''}"
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    return f"{draw(_space)}{sign}{body}{draw(_space)}"
+
+
+@given(_rational_strings())
+@example("1/0")
+@example("\t-00/000\n")
+@example("-0")
+@example("7" * 4300 + "/" + "3" * 4300)
+@example("." + "9" * 4300)
+def test_rational_strings_read_as_fraction_reads_them(text):
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(SchemaError) as err:
+            codec.parse_fraction(text)
+        assert str(err.value) == f"not a rational: {text!r}"
+    else:
+        got = codec.parse_fraction(text)
+        assert got == expected and type(got) is Fraction
 
 
 def _newcomb_paying(value) -> edt.DecisionProblem:

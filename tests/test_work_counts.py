@@ -2,7 +2,8 @@
 
 golden/work_counts.json pins, for a few fixed inputs, how many Fractions
 are constructed and how many times compose, tensor, relabel,
-deterministic and parse_fraction are called.  Counts of
+deterministic, parse_fraction and _ratio, the conversion of every
+rational read, are called.  Counts of
 work are exact where timings are noisy, so a route that does more work
 fails here even when no benchmark could see it.  The test fails when a count exceeds its
 pin; a change that lowers a count lowers its pin in the same change, and
@@ -34,6 +35,7 @@ COUNTED = (
     "relabel",
     "deterministic",
     "parse_fraction",
+    "_ratio",
 )
 # Three corpus problems as their JSON documents: the problem reader's work.
 PROBLEMS = ("corpus_newcomb", "corpus_monty-hall", "corpus_smoking-lesion")

@@ -26,7 +26,7 @@ then its rational, then its sign, then the row's mass.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
 from math import gcd
 from typing import Any
@@ -87,7 +87,7 @@ def _write(value: Any, nl: str, write: Callable[[str], Any]) -> None:
             _write(item, inner, write)
             sep = "," + inner
         write(nl + "}")
-    elif kind is SubKernel:
+    elif isinstance(value, SubKernel):  # a deferred product is a subclass
         _write_kernel(value, nl, write)
     elif kind is list or kind is tuple:
         if not value:
@@ -137,52 +137,133 @@ def _label_list(
 
 def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
     """_write for a SubKernel: the text of {"dom", "cod", "rows"} at
-    indentation nl, written from k's stored integer rows with fixed
-    templates, each entry n over its row's denominator D written as
-    n / D reduced.
+    indentation nl, written from its factors' stored integer rows with
+    fixed templates.  A kernel that stores its rows is its own one
+    factor; a deferred product (kernel.tensor) is written from its
+    factors, and its rows are never built.
 
-    Rows and entries go out in sorted order; a row of one entry has
-    nothing to sort.  Each "in" or "val" list is one join (see
-    _label_list), of the bare labels when every label of k.dom or k.cod
-    respectively is plain: quoting a plain label only adds the quotes
-    that join places around it, so the text is _write's either way.
+    Rows and entries go out in sorted order.  Every factor's outcomes
+    have one length, so a product's sorted rows are its two balanced
+    halves' sorted rows, nested, and so are each row's entries: the
+    right half is listed once (see _row_texts), the left streamed, and
+    each entry n0 * n1 / (D0 * D1) of a pair of rows written reduced.
+    One factor is written alone, its entries reduced as it lists them.
     """
     i1, i2, i3, i4, i5 = (nl + "  " * n for n in range(1, 6))
     write("{" + i1 + '"dom": ')
     _write(obj_to_json(k.dom), i1, write)
     write("," + i1 + '"cod": ')
     _write(obj_to_json(k.cod), i1, write)
-    rows = k._rows
-    if not rows:
+    factors = [(f._rows, f.dom, f.cod) for f in k._factors]
+    if not all(rows for rows, _, _ in factors):
         write("," + i1 + '"rows": []' + nl + "}")
         return
-    in_head, in_sep, in_tail, in_body = _label_list(k.dom, i3)
-    val_head, val_sep, val_tail, val_body = _label_list(k.cod, i5)
+    ins = _label_list(k.dom, i3)
+    vals = _label_list(k.cod, i5)
     # A row is {"in": [x...], "out": [{"val": [y...], "p": p}, ...]}.
-    row_open = "{" + i3 + '"in": ' + in_head
-    row_out = in_tail + "," + i3 + '"out": [' + i4
+    row_open = "{" + i3 + '"in": ' + ins[0]
+    row_out = ins[2] + "," + i3 + '"out": [' + i4
+    val_open = "{" + i5 + '"val": ' + vals[0]
+    p_open = vals[2] + "," + i5 + '"p": "'
+    p_close = '"' + i4 + "}"
+    if len(factors) == 1:
+        lefts = _row_texts(factors, ins, row_open, row_out, vals, val_open, p_open, p_close)
+        rights = [("", None)]
+    else:
+        cut = (len(factors) + 1) // 2
+        in_join, val_join = _joins(ins, vals, factors[:cut], factors[cut:])
+        lefts = _row_texts(factors[:cut], ins, row_open, "", vals, val_open, "")
+        rights = list(
+            _row_texts(factors[cut:], ins, in_join, row_out, vals, val_join, p_open)
+        )
     row_close = i3 + "]" + i2 + "}"
     entry_sep = "," + i4
-    val_open = "{" + i5 + '"val": ' + val_head
-    p_open = val_tail + "," + i5 + '"p": "'
-    p_close = '"' + i4 + "}"
     sep = "," + i1 + '"rows": [' + i2
-    for x in sorted(rows):
+    for x0, e0 in lefts:
+        for x1, e1 in rights:
+            if e1 is None:
+                entries = e0
+            else:
+                entries = []
+                for y0, n0, d0 in e0:
+                    for y1, n1, d1 in e1:
+                        n, d = n0 * n1, d0 * d1
+                        c = gcd(n, d)
+                        entries.append(
+                            f"{y0}{y1}{n // c if c == d else f'{n // c}/{d // c}'}{p_close}"
+                        )
+            write(f"{sep}{x0}{x1}{entry_sep.join(entries)}{row_close}")
+            sep = "," + i2
+    write(i1 + "]" + nl + "}")
+
+
+# One factor of a kernel being written: its stored rows, dom and cod.
+_Factor = tuple[Mapping[tuple, tuple[int, Mapping[tuple, int]]], Obj, Obj]
+
+
+def _joins(
+    ins: tuple, vals: tuple, left: list[_Factor], right: list[_Factor]
+) -> tuple[str, str]:
+    """The separators that join the label lists of left's and right's
+    dom (ins) and cod (vals) outcomes: _label_list's separator, or none
+    where either side's outcomes are empty."""
+    return tuple(
+        labels[1]
+        if any(f[at].factors for f in left) and any(f[at].factors for f in right)
+        else ""
+        for labels, at in ((ins, 1), (vals, 2))
+    )
+
+
+def _row_texts(
+    factors: list[_Factor],
+    ins: tuple, in_pre: str, in_post: str,
+    vals: tuple, val_pre: str, val_post: str,
+    p_close: str | None = None,
+) -> Iterator[tuple[str, list]]:
+    """The rows of the product of factors, sorted, each as (in text,
+    entries), its entries sorted.  A row's in text is in_pre, its labels
+    joined as ins = _label_list(dom) joins them, then in_post; an
+    entry's val text is val_pre, its labels, val_post.  An entry is
+    (val text, n, D), its value n / D not reduced, or, given p_close for
+    a single factor, its text: val text, its value reduced, p_close.
+    Two or more factors are the nested product of two balanced halves,
+    the right half listed once.  A row of one entry has nothing to sort.
+    """
+    if len(factors) > 1:
+        cut = (len(factors) + 1) // 2
+        left, right = factors[:cut], factors[cut:]
+        in_join, val_join = _joins(ins, vals, left, right)
+        rights = list(_row_texts(right, ins, in_join, in_post, vals, val_join, val_post))
+        for x0, e0 in _row_texts(left, ins, in_pre, "", vals, val_pre, ""):
+            for x1, e1 in rights:
+                yield x0 + x1, [
+                    (y0 + y1, n0 * n1, d0 * d1)
+                    for y0, n0, d0 in e0
+                    for y1, n1, d1 in e1
+                ]
+        return
+    rows = factors[0][0]
+    in_sep, in_body = ins[1], ins[3]
+    val_sep, val_body = vals[1], vals[3]
+    for x in sorted(rows) if len(rows) > 1 else rows:
         den, row = rows[x]
         entries = []
         for y in sorted(row) if len(row) > 1 else row:
+            t = val_sep.join(y if val_body is None else map(val_body, y))
             n = row[y]
-            c = gcd(n, den)
-            entries.append(
-                f"{val_open}{val_sep.join(y if val_body is None else map(val_body, y))}"
-                f"{p_open}{n // c if c == den else f'{n // c}/{den // c}'}{p_close}"
-            )
-        write(
-            f"{sep}{row_open}{in_sep.join(x if in_body is None else map(in_body, x))}"
-            f"{row_out}{entry_sep.join(entries)}{row_close}"
+            if p_close is None:
+                entries.append((val_pre + t + val_post, n, den))
+            else:
+                c = gcd(n, den)
+                entries.append(
+                    f"{val_pre}{t}{val_post}"
+                    f"{n // c if c == den else f'{n // c}/{den // c}'}{p_close}"
+                )
+        yield (
+            in_pre + in_sep.join(x if in_body is None else map(in_body, x)) + in_post,
+            entries,
         )
-        sep = "," + i2
-    write(i1 + "]" + nl + "}")
 
 
 def _require(doc: Any, key: str, kind, where: str) -> Any:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
+from typing import Iterable
 
 from . import kernel as K
 from .errors import IllTyped, NonTotalGenerator
@@ -103,25 +104,35 @@ def infer_type(term: Term) -> tuple[Obj, Obj]:
     return _infer(term, "t")
 
 
-def _wiring(term: Term) -> tuple[Obj, Obj, PartialFn] | None:
-    """(dom, cod, fn) of a wiring node, fn its partial function, or None
-    for a generator, Compose or Tensor.  Only the comparator (the partial
-    Frobenius multiplication) and an observation are partial."""
+def _wiring(
+    term: Term,
+) -> tuple[Obj, Obj, PartialFn, Iterable[Outcome] | None] | None:
+    """(dom, cod, fn, defined) of a wiring node, fn its partial function
+    and defined the inputs where fn is defined, in domain order, or None
+    where fn is total; or None for a generator, Compose or Tensor.  Only
+    the comparator (the partial Frobenius multiplication), defined on
+    the diagonal, and an observation, defined at its point, are
+    partial."""
     match term:
         case Id(x):
-            return x, x, lambda a: a
+            return x, x, lambda a: a, None
         case Copy(x):
-            return x, x.tensor(x), lambda a: a + a
+            return x, x.tensor(x), lambda a: a + a, None
         case Discard(x):
-            return x, UNIT, lambda a: ()
+            return x, UNIT, lambda a: (), None
         case Swap(x, y):
             n = len(x.factors)
-            return x.tensor(y), y.tensor(x), lambda o: o[n:] + o[:n]
+            return x.tensor(y), y.tensor(x), lambda o: o[n:] + o[:n], None
         case Compare(x):
             n = len(x.factors)
-            return x.tensor(x), x, lambda o: o[:n] if o[:n] == o[n:] else None
+            return (
+                x.tensor(x),
+                x,
+                lambda o: o[:n] if o[:n] == o[n:] else None,
+                (a + a for a in x.outcomes()),
+            )
         case Observe(x, point):
-            return x, UNIT, lambda a: () if a == point else None
+            return x, UNIT, lambda a: () if a == point else None, (point,)
     return None
 
 
@@ -152,16 +163,18 @@ def _infer(term: Term, path: str) -> tuple[Obj, Obj]:
 
 def observe_kernel(at: Obj, point) -> SubKernel:
     """The costate at -> I succeeding exactly on the given outcome: the
-    partial function x |-> () where x is the point."""
+    partial function x |-> () where x is the point, its one row."""
     return K.deterministic(*_wiring(Observe(at, point)))
 
 
 def evaluate(term: Term) -> SubKernel:
     """Interpret a well-typed term as a kernel: a wiring node as the
-    kernel of its partial function, a Tensor as one kernel.tensor of its
-    terms' kernels (nested Tensors opened, so no partial product is
-    built), and a Compose as a left fold (see _then) in which no step
-    becomes a wiring kernel or a tensor product of its own."""
+    kernel of its partial function, built from the inputs where it is
+    defined (so Observe over any object is one row), a Tensor as one
+    deferred kernel.tensor of its terms' kernels (nested Tensors
+    opened, so no partial product is built), and a Compose as a left
+    fold (see _then) in which no step becomes a wiring kernel or a
+    tensor product of its own."""
     match term:
         case Gen(_, k):
             return k
@@ -192,8 +205,8 @@ def _then(f: SubKernel, t: Term) -> SubKernel:
     parts = [_wiring(c) or ((k := evaluate(c)).dom, k.cod, k) for c in terms]
     K.require_composable(f.cod, reduce(Obj.tensor, (p[0] for p in parts), UNIT))
     i = 0
-    for c, (dom, cod, g) in zip(terms, parts):
-        if type(g) is SubKernel:
+    for c, (dom, cod, g, *_) in zip(terms, parts):
+        if isinstance(g, SubKernel):
             f = K.compose(f, g, at=None if c is t else i)
         elif type(c) is not Id:
             j, y = i + len(dom.factors), f.cod.factors
@@ -302,7 +315,7 @@ def _lift(term: Term) -> SubKernel:
 
             return K.relabel(K.tensor(*lifts), moved, cod.tensor(BOOL_OBJ))
     # infer_type has run, so every other term is wiring.
-    dom, cod, fn = _wiring(term)
+    dom, cod, fn, _ = _wiring(term)
     fail, cod = next(cod.outcomes()) + NO, cod.tensor(BOOL_OBJ)
     return K.deterministic(
         dom, cod, lambda a: fail if (b := fn(a)) is None else b + YES

@@ -32,16 +32,27 @@ denominators would make every slot huge.  A single term is its row
 scaled and is not packed.  compose also whiskers: compose(f, g, at=k)
 is f ; (id (x) g (x) id) with g reading the codomain factors of f from
 the k-th on, and no identity kernel is built or multiplied through.
-tensor multiplies any number of factors out as balanced binary
-products, in the row and entry order a left fold of binary products
-would give, and never multiplies a row whose denominator is 1.
+
+The tensor is strict monoidal, so a product is given whole by its
+factors, and its rows are only a cache.  tensor returns a deferred
+product: a kernel that holds its factors, nested products flattened,
+and leaves its _rows slot unset.  The first read of its rows
+(_Product.__getattr__, which runs only for an unset slot, and on a
+subclass, so that no other kernel's reads pay for it) multiplies the
+factors out as balanced binary products, in the row and entry order a
+left fold of binary products would give, never multiplying a row whose
+denominator is 1, and drops the factors.  So ==, rows, compose, relabel, copies and
+pickles all see ordinary rows, while codec writes a deferred product's
+text from its factors and never builds its rows.
 
 The rest of the package works through compose, tensor, deterministic
 (the kernel of a partial function, which every structural map and point
-is), and the row operations normalise, relabel, bend, state_at and
-fill, and reads rows through row, prob, mass and the rows view.  Two
-functions elsewhere touch stored rows: codec's emission reads them,
-and the law suite's random kernels are built from integer rows through
+is, built from the inputs where it is defined), and the row operations
+normalise, relabel, bend, state_at and fill, and reads rows through
+row, prob, mass and the rows view.  Two functions elsewhere touch
+stored rows: codec's emission reads a kernel's factors (a kernel that
+stores its rows is its own one factor) and their rows, and the law
+suite's random kernels are built from integer rows through
 _trusted_kernel.
 
 Objects are flat tuples of alphabets; the empty tuple is the monoidal
@@ -166,6 +177,11 @@ class SubKernel:
     def __init__(self, dom: Obj, cod: Obj, table: Mapping = _NO_ROW) -> None:
         _init(self, dom, cod, make_kernel(dom, cod, table)._rows)
 
+    @property
+    def _factors(self) -> tuple[SubKernel, ...]:
+        """A kernel that stores its rows is its own one factor."""
+        return (self,)
+
     def __setattr__(self, name: str, value: Any) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -222,6 +238,35 @@ class SubKernel:
 
     def __repr__(self) -> str:
         return f"SubKernel({self.dom!r} -> {self.cod!r}, {len(self._rows)} rows)"
+
+
+class _Product(SubKernel):
+    """A deferred product (see tensor): a kernel that holds its factors
+    and leaves its _rows slot unset until the rows are first read.
+
+    __getattr__ lives here, not on SubKernel: a class that defines it
+    has every attribute read take the slower generic lookup under
+    CPython 3.11, so only deferred products pay for it."""
+
+    __slots__ = ("_factors",)
+
+    def __getattr__(self, name: str) -> Any:
+        # Runs only for an unset slot: the rows, built on their first
+        # read, after which the factors are dropped and the kernel is
+        # its own one factor.
+        if name == "_factors":
+            return (self,)
+        if name != "_rows":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        rows = _product(_FACTORS.__get__(self))._rows
+        object.__setattr__(self, "_rows", rows)
+        object.__delattr__(self, "_factors")
+        return rows
+
+
+_FACTORS = _Product._factors  # the slot itself, read without __getattr__
 
 
 def _init(k: SubKernel, dom: Obj, cod: Obj, rows: dict[Outcome, IntRow]) -> None:
@@ -360,13 +405,17 @@ def state(cod: Obj, dist: Mapping) -> SubKernel:
     return make_kernel(UNIT, cod, {(): dist})
 
 
-def deterministic(dom: Obj, cod: Obj, fn: PartialFn) -> SubKernel:
+def deterministic(
+    dom: Obj, cod: Obj, fn: PartialFn, defined: Optional[Iterable[Outcome]] = None
+) -> SubKernel:
     """The kernel of the partial function fn : dom -> cod.  Input x gets
     the row {fn(x): 1}, or no row where fn(x) is None; fn is called once
     per input, in dom.outcomes() order, and is trusted to return
-    outcomes of cod."""
+    outcomes of cod.  A partial fn may name the inputs where it can be
+    defined, inputs of dom in dom.outcomes() order: fn is then called on
+    those alone, so the time is the rows', not the domain's."""
     rows: dict[Outcome, IntRow] = {}
-    for x in dom.outcomes():
+    for x in dom.outcomes() if defined is None else defined:
         y = fn(x)
         if y is not None:
             rows[x] = 1, {y: 1}
@@ -408,7 +457,7 @@ def compare(at: Obj) -> SubKernel:
     """
     n = len(at.factors)
     return deterministic(
-        at.tensor(at), at, lambda o: o[:n] if o[:n] == o[n:] else None
+        at.tensor(at), at, lambda o: o[:n], (a + a for a in at.outcomes())
     )
 
 
@@ -618,11 +667,25 @@ def _row_product(r0: tuple, r1: tuple) -> IntRow:
 
 def tensor(f: SubKernel, *gs: SubKernel) -> SubKernel:
     """Parallel composition f (x) g1 (x) g2 ... on concatenated tuples,
-    multiplied out as balanced binary products (see _product).  Rows and
-    entries come out in a left fold's order: each factor's own order,
-    the leftmost factor outermost.  A row of a structural map has
-    denominator 1, and is never multiplied."""
-    return _product((f, *gs))
+    as a deferred product: a kernel that holds its factors, a deferred
+    product's own factors spliced in, and leaves its rows unset.  The
+    first read of its rows multiplies them out as balanced binary
+    products (see _product) and drops the factors.  Rows and entries
+    come out in a left fold's order: each factor's own order, the
+    leftmost factor outermost.  A row of a structural map has
+    denominator 1, and is never multiplied.  f alone is f."""
+    if not gs:
+        return f
+    factors = tuple(h for k in (f, *gs) for h in k._factors)
+    k = object.__new__(_Product)
+    for name, value in (
+        ("dom", Obj(tuple(a for h in factors for a in h.dom.factors))),
+        ("cod", Obj(tuple(a for h in factors for a in h.cod.factors))),
+        ("_view", None),
+        ("_factors", factors),
+    ):
+        object.__setattr__(k, name, value)
+    return k
 
 
 def normalise(f: SubKernel) -> SubKernel:

@@ -6,7 +6,9 @@ import copy
 import json
 import time
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from random import Random
 
 import hypothesis.strategies as st
 import pytest
@@ -264,6 +266,74 @@ def test_kernel_rows_sorted_lexicographically():
     assert [e["val"] for e in row["out"]] == [["f"], ["t"]]
 
 
+# Alphabets for written products: plain labels, and labels json escapes.
+_PLAIN = Alphabet("v", ("b", "a", "c"))
+_ESCAPED = Alphabet("w", ('quo"te', "\u00e9", "", "back\\slash", "\x7f"))
+
+
+@st.composite
+def _factor_lists(draw):
+    """1-5 kernels from laws._rand_kernel over objects of 0-2 alphabets,
+    each with no rows (density 0), a row at every input (density 1) or a
+    drawn density, whose product has at most 4096 entries."""
+    ks, size = [], 1
+    for _ in range(draw(st.integers(1, 5))):
+        dom, cod = (
+            Obj(tuple(draw(st.lists(st.sampled_from([B, _PLAIN, _ESCAPED]), max_size=2))))
+            for _ in range(2)
+        )
+        if size * dom.size * cod.size > 4096:
+            dom = cod = UNIT
+        size *= dom.size * cod.size
+        density = draw(st.sampled_from([None, Fraction(0), Fraction(1)]))
+        rng = Random(draw(st.integers(0, 2**32 - 1)))
+        ks.append(laws._rand_kernel(rng, dom, cod, density))
+    return ks
+
+
+@given(_factor_lists())
+def test_a_product_is_written_from_its_factors_as_from_its_rows(ks):
+    product = K.tensor(*ks)
+    text = codec.to_text(product)
+    # The product's text, and the nested product's, are the text of
+    # its rows, and the product is the left fold of binary products.
+    fold = reduce(lambda f, g: K._product((f, g)), ks)
+    rows = fold.rows
+    assert text == json.dumps(
+        {
+            "dom": codec.obj_to_json(fold.dom),
+            "cod": codec.obj_to_json(fold.cod),
+            "rows": [
+                {
+                    "in": list(x),
+                    "out": [
+                        {"val": list(y), "p": codec.format_fraction(q)}
+                        for y, q in sorted(rows[x].items())
+                    ],
+                }
+                for x in sorted(rows)
+            ],
+        },
+        indent=2,
+    ) + "\n"
+    assert text == codec.to_text(fold)
+    if len(ks) > 2:
+        assert codec.to_text(K.tensor(K.tensor(ks[0], ks[1]), *ks[2:])) == text
+    assert product == fold
+    assert codec.to_text(product) == text  # now from its stored rows
+
+
+def test_writing_a_tensor_builds_none_of_its_rows():
+    g = K.make_kernel(BO, BO, {"t": {"t": Fraction(1, 3), "f": Fraction(2, 3)}})
+    terms = (D.Copy(BO), D.Gen("g", g), D.Swap(BO, BO))
+    for product in (K.tensor(K.copy(BO), g, K.swap(BO, BO)), D.evaluate(D.Tensor(*terms))):
+        out = []
+        codec.write_text(product, out.append)
+        with pytest.raises(AttributeError):
+            object.__getattribute__(product, "_rows")
+        assert "".join(out) == codec.to_text(K._product(product._factors))
+
+
 def test_kernel_from_json_validates():
     bad_mass = {
         "dom": [{"name": "b", "labels": ["t", "f"]}],
@@ -393,9 +463,10 @@ def _set_p(draw, doc, values):
 
 def _repeat_output(draw, doc):
     rows = [r for r in _row_docs(doc) if isinstance(r.get("out"), list)]
-    row = _pick(draw, [r for r in rows if r["out"]])
+    # An earlier mutation may have put a non-object among a row's entries.
+    row = _pick(draw, [r for r in rows if any(isinstance(o, dict) for o in r["out"])])
     if row is not None:
-        out = dict(_pick(draw, row["out"]))
+        out = dict(_pick(draw, [o for o in row["out"] if isinstance(o, dict)]))
         out["p"] = draw(st.sampled_from(_GOOD_P + _BAD_P[:3]))
         row["out"].insert(draw(st.integers(0, len(row["out"]))), out)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from functools import reduce
 
@@ -108,6 +109,20 @@ def test_evaluate_observe_restricts_to_point():
     k = evaluate(Observe(BO, ("t",)))
     assert k.prob("t", ()) == 1
     assert k.mass("f") == 0
+
+
+def test_observe_over_a_wide_object_is_built_as_its_one_row():
+    # Observe is built from the one input where it is defined, so 2**40
+    # domain outcomes cost nothing; Compare likewise from its diagonal.
+    wide = Obj((B,) * 40)
+    point = ("t", "f") * 20
+    start = time.perf_counter()
+    k = evaluate(Observe(wide, point))
+    assert time.perf_counter() - start < 1
+    assert k == make_kernel(wide, UNIT, {point: {(): 1}})
+    assert observe_kernel(wide, point) == k
+    x = obj(B, Alphabet("three", ("x", "y", "z")))
+    assert evaluate(Compare(x)) == K.compare(x)
 
 
 def test_coin_observe_scalar():

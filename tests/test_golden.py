@@ -34,7 +34,10 @@ and a Swap, and a plain domain beside a codomain of plain and escaped
 labels whose rows were declared out of order, and a chain of three
 generators whose rows sum over denominators at or either side of byte
 boundaries (256, 65,536, and 255 * 256 * 257 and 256 * 256 * 257 about
-2**24), the first two carrying a row's whole mass in one column.  The corpus_*.json files
+2**24), the first two carrying a row's whole mass in one column, and a
+top-level tensor of a generator with fractional entries and an
+all-fail row, a partial generator, a unit-domain state, a Copy and a
+Swap over labels json escapes, written from its factors.  The corpus_*.json files
 hold every built-in decision problem, kernels nested in a problem.
 
 and random_kernels.txt is the text random_kernels_text() below returns.

@@ -289,6 +289,18 @@ def test_copy_discard_swap_compare_shapes():
     assert cmp_.mass(("t", "f")) == 0
 
 
+def test_compare_has_the_diagonal_rows_in_domain_order():
+    # compare is built from the inputs where it is defined, the diagonal,
+    # and equals the partial function read over its whole domain.
+    for x in (UNIT, BO, obj(B, Alphabet("pair", ("x", "y", "z")))):
+        n = len(x.factors)
+        whole = K.deterministic(
+            x.tensor(x), x, lambda o: o[:n] if o[:n] == o[n:] else None
+        )
+        assert K.compare(x) == whole
+        assert list(K.compare(x).rows) == list(whole.rows)
+
+
 def test_copy_on_tensor_interleaves():
     # copy on a two-factor object duplicates the whole tuple.
     A = Alphabet("pair", ("x", "y"))
@@ -386,6 +398,43 @@ def test_rows_are_frozen():
     assert half == K.state(BO, {"t": HALF})
     assert half.rows == {(): {("t",): HALF}}
     assert copy.deepcopy(half) == half == pickle.loads(pickle.dumps(half))
+
+
+def test_a_deferred_product_reads_as_its_rows():
+    # tensor keeps its factors and leaves its rows unset; every read,
+    # write refusal, equality, copy and pickle sees the rows, built on
+    # the first read, after which the factors are dropped.
+    g = bk({"t": {"t": Fraction(1, 3), "f": Fraction(2, 3)}, "f": {"f": HALF}})
+    fs = [K.copy(BO), g, K.state(BO, {"t": "1/4"})]
+    stored = K._product(fs)
+    reads = [
+        lambda k: k.rows,
+        lambda k: k.row(("t", "f")),
+        lambda k: k.prob(("f", "f"), ("f", "f", "f", "t")),
+        lambda k: k.mass(("t", "t")),
+        lambda k: (list(k.rows), [list(r) for r in k.rows.values()]),
+        repr,
+        lambda k: k == stored,
+        lambda k: stored == k,
+        lambda k: copy.deepcopy(k) == stored == pickle.loads(pickle.dumps(k)),
+        lambda k: K.compose(k, K.discard(k.cod)),
+        lambda k: K.relabel(k, lambda x, y: y[:1], BO),
+    ]
+    for read in reads:
+        k = K.tensor(*fs)
+        with pytest.raises(AttributeError):
+            object.__getattribute__(k, "_rows")
+        assert read(k) == read(stored)
+        assert k._factors == (k,)
+        with pytest.raises(AttributeError):
+            setattr(k, "_rows", {})
+    assert K.tensor(g) is g
+    # Under CPython 3.11 a class with __getattr__ has every attribute
+    # read take the generic lookup, so only the product class has one.
+    assert "__getattr__" not in vars(SubKernel)
+    # A deferred product among tensor's arguments is spliced in.
+    nested = K.tensor(K.tensor(fs[0], fs[1]), fs[2])
+    assert nested._factors == tuple(fs) and nested == stored
 
 
 # -- predicates --------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 golden/work_counts.json pins, for a few fixed inputs, how many Fractions
 are constructed and how many times compose, tensor, relabel,
-deterministic, parse_fraction and _ratio, the conversion of every
-rational read, are called.  Counts of
+deterministic, parse_fraction, _ratio, the conversion of every
+rational read, and _product, which multiplies out a tensor product's
+rows (once per binary product, and never where the product is only
+written), are called.  Counts of
 work are exact where timings are noisy, so a route that does more work
 fails here even when no benchmark could see it.  The test fails when a count exceeds its
 pin; a change that lowers a count lowers its pin in the same change, and
@@ -36,6 +38,7 @@ COUNTED = (
     "deterministic",
     "parse_fraction",
     "_ratio",
+    "_product",
 )
 # Three corpus problems as their JSON documents: the problem reader's work.
 PROBLEMS = ("corpus_newcomb", "corpus_monty-hall", "corpus_smoking-lesion")

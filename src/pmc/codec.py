@@ -6,7 +6,8 @@ integers allowed) — so emit -> parse -> emit is byte-identical.
 
 A payload holds a SubKernel as itself: write_text (and to_text, which
 joins its pieces) writes it as its JSON object straight from the
-kernel's rows, with no payload tree in between, and kernel_to_json(k)
+stored rows of the kernel's factors (a deferred product's, or the
+kernel's own), with no payload tree in between, and kernel_to_json(k)
 is k.  The parsers read JSON documents, never a kernel.  Each label's
 quoted text is made once per kernel, from the labels its domain and
 codomain declare.  Where every label of the domain (or codomain) is
@@ -147,7 +148,8 @@ def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
     halves' sorted rows, nested, and so are each row's entries: the
     right half is listed once (see _row_texts), the left streamed, and
     each entry n0 * n1 / (D0 * D1) of a pair of rows written reduced.
-    One factor is written alone, its entries reduced as it lists them.
+    One factor is written in one loop over its sorted rows, each entry
+    n / D reduced as it goes.
     """
     i1, i2, i3, i4, i5 = (nl + "  " * n for n in range(1, 6))
     write("{" + i1 + '"dom": ')
@@ -166,24 +168,36 @@ def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
     val_open = "{" + i5 + '"val": ' + vals[0]
     p_open = vals[2] + "," + i5 + '"p": "'
     p_close = '"' + i4 + "}"
-    if len(factors) == 1:
-        lefts = _row_texts(factors, ins, row_open, row_out, vals, val_open, p_open, p_close)
-        rights = [("", None)]
-    else:
-        cut = (len(factors) + 1) // 2
-        in_join, val_join = _joins(ins, vals, factors[:cut], factors[cut:])
-        lefts = _row_texts(factors[:cut], ins, row_open, "", vals, val_open, "")
-        rights = list(
-            _row_texts(factors[cut:], ins, in_join, row_out, vals, val_join, p_open)
-        )
     row_close = i3 + "]" + i2 + "}"
     entry_sep = "," + i4
     sep = "," + i1 + '"rows": [' + i2
-    for x0, e0 in lefts:
-        for x1, e1 in rights:
-            if e1 is None:
-                entries = e0
-            else:
+    if len(factors) == 1:
+        rows = factors[0][0]
+        in_sep, in_body = ins[1], ins[3]
+        val_sep, val_body = vals[1], vals[3]
+        for x in sorted(rows):
+            den, row = rows[x]
+            entries = []
+            for y in sorted(row) if len(row) > 1 else row:
+                n = row[y]
+                c = gcd(n, den)
+                entries.append(
+                    f"{val_open}{val_sep.join(y if val_body is None else map(val_body, y))}"
+                    f"{p_open}{n // c if c == den else f'{n // c}/{den // c}'}{p_close}"
+                )
+            write(
+                f"{sep}{row_open}{in_sep.join(x if in_body is None else map(in_body, x))}"
+                f"{row_out}{entry_sep.join(entries)}{row_close}"
+            )
+            sep = "," + i2
+    else:
+        cut = (len(factors) + 1) // 2
+        in_join, val_join = _joins(ins, vals, factors[:cut], factors[cut:])
+        rights = list(
+            _row_texts(factors[cut:], ins, in_join, row_out, vals, val_join, p_open)
+        )
+        for x0, e0 in _row_texts(factors[:cut], ins, row_open, "", vals, val_open, ""):
+            for x1, e1 in rights:
                 entries = []
                 for y0, n0, d0 in e0:
                     for y1, n1, d1 in e1:
@@ -192,8 +206,8 @@ def _write_kernel(k: SubKernel, nl: str, write: Callable[[str], Any]) -> None:
                         entries.append(
                             f"{y0}{y1}{n // c if c == d else f'{n // c}/{d // c}'}{p_close}"
                         )
-            write(f"{sep}{x0}{x1}{entry_sep.join(entries)}{row_close}")
-            sep = "," + i2
+                write(f"{sep}{x0}{x1}{entry_sep.join(entries)}{row_close}")
+                sep = "," + i2
     write(i1 + "]" + nl + "}")
 
 
@@ -219,16 +233,14 @@ def _row_texts(
     factors: list[_Factor],
     ins: tuple, in_pre: str, in_post: str,
     vals: tuple, val_pre: str, val_post: str,
-    p_close: str | None = None,
 ) -> Iterator[tuple[str, list]]:
     """The rows of the product of factors, sorted, each as (in text,
     entries), its entries sorted.  A row's in text is in_pre, its labels
     joined as ins = _label_list(dom) joins them, then in_post; an
-    entry's val text is val_pre, its labels, val_post.  An entry is
-    (val text, n, D), its value n / D not reduced, or, given p_close for
-    a single factor, its text: val text, its value reduced, p_close.
-    Two or more factors are the nested product of two balanced halves,
-    the right half listed once.  A row of one entry has nothing to sort.
+    entry is (val text, n, D), its value n / D not reduced, its val
+    text val_pre, its labels, val_post.  Two or more factors are the
+    nested product of two balanced halves, the right half listed once.
+    A row of one entry has nothing to sort.
     """
     if len(factors) > 1:
         cut = (len(factors) + 1) // 2
@@ -251,15 +263,7 @@ def _row_texts(
         entries = []
         for y in sorted(row) if len(row) > 1 else row:
             t = val_sep.join(y if val_body is None else map(val_body, y))
-            n = row[y]
-            if p_close is None:
-                entries.append((val_pre + t + val_post, n, den))
-            else:
-                c = gcd(n, den)
-                entries.append(
-                    f"{val_pre}{t}{val_post}"
-                    f"{n // c if c == den else f'{n // c}/{den // c}'}{p_close}"
-                )
+            entries.append((val_pre + t + val_post, row[y], den))
         yield (
             in_pre + in_sep.join(x if in_body is None else map(in_body, x)) + in_post,
             entries,

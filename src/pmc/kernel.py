@@ -35,15 +35,12 @@ the k-th on, and no identity kernel is built or multiplied through.
 
 The tensor is strict monoidal, so a product is given whole by its
 factors, and its rows are only a cache.  tensor returns a deferred
-product: a kernel that holds its factors, nested products flattened,
-and leaves its _rows slot unset.  The first read of its rows
-(_Product.__getattr__, which runs only for an unset slot, and on a
-subclass, so that no other kernel's reads pay for it) multiplies the
-factors out as balanced binary products, in the row and entry order a
-left fold of binary products would give, never multiplying a row whose
-denominator is 1, and drops the factors.  So ==, rows, compose, relabel, copies and
-pickles all see ordinary rows, while codec writes a deferred product's
-text from its factors and never builds its rows.
+product: a kernel that holds its factors for life, nested products
+flattened.  Its rows are built on their first read as a left fold of
+binary products, never multiplying a row whose denominator is 1, and
+kept.  So ==, rows, compose, relabel, copies and pickles all see
+ordinary rows, while codec writes a product's text from its factors,
+whether or not its rows were built, and never builds them.
 
 The rest of the package works through compose, tensor, deterministic
 (the kernel of a partial function, which every structural map and point
@@ -65,11 +62,12 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product, repeat
 from math import gcd, lcm, prod
 from operator import mul
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from .errors import (
     BadSplit,
@@ -242,31 +240,17 @@ class SubKernel:
 
 class _Product(SubKernel):
     """A deferred product (see tensor): a kernel that holds its factors
-    and leaves its _rows slot unset until the rows are first read.
+    for life, its rows built from them on their first read and kept."""
 
-    __getattr__ lives here, not on SubKernel: a class that defines it
-    has every attribute read take the slower generic lookup under
-    CPython 3.11, so only deferred products pay for it."""
+    __slots__ = ("_factors", "_built")
 
-    __slots__ = ("_factors",)
-
-    def __getattr__(self, name: str) -> Any:
-        # Runs only for an unset slot: the rows, built on their first
-        # read, after which the factors are dropped and the kernel is
-        # its own one factor.
-        if name == "_factors":
-            return (self,)
-        if name != "_rows":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        rows = _product(_FACTORS.__get__(self))._rows
-        object.__setattr__(self, "_rows", rows)
-        object.__delattr__(self, "_factors")
+    @property
+    def _rows(self) -> dict[Outcome, IntRow]:
+        rows = self._built
+        if rows is None:
+            rows = reduce(_times, self._factors)._rows
+            object.__setattr__(self, "_built", rows)
         return rows
-
-
-_FACTORS = _Product._factors  # the slot itself, read without __getattr__
 
 
 def _init(k: SubKernel, dom: Obj, cod: Obj, rows: dict[Outcome, IntRow]) -> None:
@@ -618,15 +602,8 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
     return _trusted_kernel(f.dom, cod, rows)
 
 
-def _product(ks: Sequence[SubKernel]) -> SubKernel:
-    """ks[0] (x) ks[1] (x) ...: ks[0] alone, or the product of its two
-    halves' products, each half's rows listed once (see _row_product).
-    With factors of like size, each half holds about the square root of
-    the result's entries, so the halves cost little beside the result."""
-    if len(ks) == 1:
-        return ks[0]
-    cut = (len(ks) + 1) // 2
-    left, right = _product(ks[:cut]), _product(ks[cut:])
+def _times(left: SubKernel, right: SubKernel) -> SubKernel:
+    """left (x) right, each factor's rows listed once (see _row_product)."""
     rows0, rows1 = (
         [
             (x, den, y, (den, list(e.items()), gcd(*e.values()), y))
@@ -668,12 +645,11 @@ def _row_product(r0: tuple, r1: tuple) -> IntRow:
 def tensor(f: SubKernel, *gs: SubKernel) -> SubKernel:
     """Parallel composition f (x) g1 (x) g2 ... on concatenated tuples,
     as a deferred product: a kernel that holds its factors, a deferred
-    product's own factors spliced in, and leaves its rows unset.  The
-    first read of its rows multiplies them out as balanced binary
-    products (see _product) and drops the factors.  Rows and entries
-    come out in a left fold's order: each factor's own order, the
-    leftmost factor outermost.  A row of a structural map has
-    denominator 1, and is never multiplied.  f alone is f."""
+    product's own factors spliced in, and builds its rows from them on
+    their first read, as the left fold of _times over the factors.
+    Rows and entries come out in that fold's order: each factor's own
+    order, the leftmost factor outermost.  A row of a structural map
+    has denominator 1, and is never multiplied.  f alone is f."""
     if not gs:
         return f
     factors = tuple(h for k in (f, *gs) for h in k._factors)
@@ -683,6 +659,7 @@ def tensor(f: SubKernel, *gs: SubKernel) -> SubKernel:
         ("cod", Obj(tuple(a for h in factors for a in h.cod.factors))),
         ("_view", None),
         ("_factors", factors),
+        ("_built", None),
     ):
         object.__setattr__(k, name, value)
     return k

@@ -291,13 +291,15 @@ def _factor_lists(draw):
     return ks
 
 
-@given(_factor_lists())
-def test_a_product_is_written_from_its_factors_as_from_its_rows(ks):
+@given(_factor_lists(), st.booleans())
+def test_a_product_is_written_from_its_factors_as_from_its_rows(ks, read_first):
     product = K.tensor(*ks)
+    if read_first:
+        product.rows  # builds and keeps the rows, and keeps the factors
     text = codec.to_text(product)
     # The product's text, and the nested product's, are the text of
     # its rows, and the product is the left fold of binary products.
-    fold = reduce(lambda f, g: K._product((f, g)), ks)
+    fold = reduce(K._times, ks)
     rows = fold.rows
     assert text == json.dumps(
         {
@@ -320,7 +322,8 @@ def test_a_product_is_written_from_its_factors_as_from_its_rows(ks):
     if len(ks) > 2:
         assert codec.to_text(K.tensor(K.tensor(ks[0], ks[1]), *ks[2:])) == text
     assert product == fold
-    assert codec.to_text(product) == text  # now from its stored rows
+    assert product._factors == tuple(ks)
+    assert codec.to_text(product) == text  # its rows built, its factors written
 
 
 def test_writing_a_tensor_builds_none_of_its_rows():
@@ -329,9 +332,8 @@ def test_writing_a_tensor_builds_none_of_its_rows():
     for product in (K.tensor(K.copy(BO), g, K.swap(BO, BO)), D.evaluate(D.Tensor(*terms))):
         out = []
         codec.write_text(product, out.append)
-        with pytest.raises(AttributeError):
-            object.__getattribute__(product, "_rows")
-        assert "".join(out) == codec.to_text(K._product(product._factors))
+        assert product._built is None
+        assert "".join(out) == codec.to_text(reduce(K._times, product._factors))
 
 
 def test_kernel_from_json_validates():

@@ -20,6 +20,14 @@ generator's row is split anew over the same outputs with the same
 mass.  Each of the 400 such mutants must evaluate, and 393 of them
 differ from their goldens.  Every mutant that evaluates must equal
 test_diagram._fold, the plain evaluator.
+
+The same mutations reach the command line: `pmc eval`, `normalise`,
+`invert`, `update` and `solve` run in-process (cli.main) on mutated
+golden files, a file now and then cut short.  Each run must return an
+exit status README documents, 0, 1 or 2, and never raise; a failure
+writes nothing to standard output and "error: <Code>: " to standard
+error, Code a PmcError, and an undefined inference result (2) is an
+InferenceUndefined.
 """
 
 from __future__ import annotations
@@ -27,13 +35,15 @@ from __future__ import annotations
 import copy
 import json
 import random
+import re
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from pmc import codec
+from pmc import cli, codec, edt, errors
 from pmc.diagram import evaluate, infer_type
-from pmc.errors import PmcError
+from pmc.errors import InferenceUndefined, PmcError
 
 from test_diagram import _fold
 
@@ -56,6 +66,9 @@ PAIRS = [
 ]
 TERM_MUTANTS = 1000
 WELL_FORMED_MUTANTS = 400
+CLI_MUTANTS = 400
+# Probabilities put in place of an entry's, each a valid rational.
+WEIGHTS = ("0", "0", "1/9", "1/2", "1")
 
 # Values put in place of a part.  Each use is a fresh deep copy, so a
 # later mutation of the same document cannot change this table.
@@ -256,3 +269,77 @@ def test_well_formed_mutants_evaluate_as_the_plain_fold():
     # A split may draw a row's own probabilities again, so a few mutants
     # (7) are their goldens.
     assert changed > WELL_FORMED_MUTANTS * 9 // 10
+
+
+def _cli_runs() -> list[tuple[list[str], dict]]:
+    """Each command line the CLI fuzz mutates, as (argv, documents): an
+    argument of argv that names a document is replaced by its file.
+    The documents are golden files, but for the update evidence, which
+    no golden file holds: the point "t" of the golden channel's
+    codomain, as a predicate (pearl) and as a state (jeffrey)."""
+
+    def golden(name):
+        return json.loads((GOLDEN / f"{name}.json").read_text("utf-8"))
+
+    mixed = golden("tensor_mixed_env")["kernels"]
+    b = mixed["frac"]["cod"]
+    update = {"prior": mixed["st"], "channel": mixed["frac"]}
+    flags = ["--prior", "prior", "--channel", "channel", "--evidence", "evidence"]
+    return [
+        *((["eval", "term", "--env", "env"], {"term": golden(t), "env": golden(e)})
+          for t, e in PAIRS),
+        *((["normalise", "kernel"], {"kernel": golden(f"{name}.out")})
+          for name in ("dense_chain", "partial_chain", "unit_cod", "mixed_labels")),
+        (["invert", "--channel", "channel", "--prior", "prior"], update),
+        (["update", "--rule", "pearl", *flags], {**update, "evidence": {
+            "dom": b, "cod": [], "rows": [{"in": ["t"], "out": [{"val": [], "p": "1"}]}],
+        }}),
+        (["update", "--rule", "jeffrey", *flags], {**update, "evidence": {
+            "dom": [], "cod": b, "rows": [{"in": [], "out": [{"val": ["t"], "p": "1"}]}],
+        }}),
+        *((["solve", "problem", "--format", fmt], {"problem": golden(f"corpus_{name}")})
+          for name in edt.CORPUS for fmt in ("tsv", "json")),
+    ]
+
+
+def test_mutated_cli_inputs_exit_0_1_or_2(tmp_path, capsys):
+    runs = _cli_runs()
+    start = time.perf_counter()
+    codes = Counter()
+    for i in range(CLI_MUTANTS):
+        rng = random.Random(f"cli-fuzz:{i}")
+        argv, docs = runs[i % len(runs)]
+        docs = copy.deepcopy(docs)
+        for name in rng.sample(sorted(docs), rng.randint(1, len(docs))):
+            ps = [(n, k) for n, k in _spots(docs[name]) if k == "p"]
+            if ps and rng.random() < 0.5:
+                # Well-formed but for the masses: reaches the inference guards.
+                for node, key in rng.sample(ps, min(len(ps), rng.randint(1, 3))):
+                    node[key] = rng.choice(WEIGHTS)
+            else:
+                _mutate(rng, docs[name])
+        paths = {name: tmp_path / f"{name}.json" for name in docs}
+        for name, doc in docs.items():
+            text = json.dumps(doc)
+            if rng.random() < 0.05:
+                text = text[: rng.randrange(len(text))]  # no longer JSON
+            paths[name].write_text(text, "utf-8")
+        try:
+            code = cli.main([str(paths[a]) if a in paths else a for a in argv])
+        except Exception as exc:
+            raise AssertionError(f"CLI mutant {i} of {argv[0]}: {exc!r}") from exc
+        out, err = capsys.readouterr()
+        where = f"CLI mutant {i} of {argv[0]}: exit {code}, {err[:200]!r}"
+        if code == 0:
+            assert out and not err, where
+        else:
+            m = re.match(r"error: (\w+): ", err)
+            kind = getattr(errors, m[1], None) if m else None
+            assert code in (1, 2) and not out and isinstance(kind, type), where
+            assert issubclass(kind, PmcError), where
+            assert (code == 2) == issubclass(kind, InferenceUndefined), where
+        codes[code] += 1
+    elapsed = time.perf_counter() - start
+    assert elapsed < BUDGET_S, f"{CLI_MUTANTS} mutants took {elapsed:.2f} s"
+    # 61 succeed, 338 are refused and 1 is undefined (exit 2).
+    assert codes[0] and codes[2] and codes[1] > CLI_MUTANTS // 2, codes

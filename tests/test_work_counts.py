@@ -3,13 +3,14 @@
 golden/work_counts.json pins, for a few fixed inputs, how many Fractions
 are constructed and how many times compose, tensor, relabel,
 deterministic, parse_fraction, _ratio, the conversion of every
-rational read, and _product, which multiplies out a tensor product's
-rows (once per binary product, and never where the product is only
-written), are called.  Counts of
-work are exact where timings are noisy, so a route that does more work
-fails here even when no benchmark could see it.  The test fails when a count exceeds its
-pin; a change that lowers a count lowers its pin in the same change, and
-one that raises a count says why.  Print the current counts with
+rational read, and _times, the binary product a deferred tensor
+product's rows are folded from (once per factor after the first, and
+never where the product is only written), are called.  Counts of work
+are exact where timings are noisy, so a route that does more work fails
+here even when no benchmark could see it.  The test fails when a count
+exceeds its pin; a change that lowers a count lowers its pin in the
+same change, and one that raises a count says why.  Print the current
+counts with
 
     PYTHONPATH=src python tests/test_work_counts.py > tests/golden/work_counts.json
 
@@ -38,7 +39,7 @@ COUNTED = (
     "deterministic",
     "parse_fraction",
     "_ratio",
-    "_product",
+    "_times",
 )
 # Three corpus problems as their JSON documents: the problem reader's work.
 PROBLEMS = ("corpus_newcomb", "corpus_monty-hall", "corpus_smoking-lesion")

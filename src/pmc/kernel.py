@@ -33,6 +33,16 @@ scaled and is not packed.  compose also whiskers: compose(f, g, at=k)
 is f ; (id (x) g (x) id) with g reading the codomain factors of f from
 the k-th on, and no identity kernel is built or multiplied through.
 
+Where f or g is a partial function, every stored row's denominator 1,
+compose takes a shorter route; the test stops at the first row whose
+denominator is not 1.  For such an f, the row of f ; g at x is g's row
+at the slice of f's one output, placed in context, already reduced.
+For such a g, each entry of f's row moves to g's one output at its
+slice, or is dropped where g has no row, as relabel moves it.  Both
+give the general route's rows in its order: first-seen order is the
+order of g's row when f's row has one entry, and f's entry order when
+each of g's rows has one output.
+
 The tensor is strict monoidal, so a product is given whole by its
 factors, and its rows are only a cache.  tensor returns a deferred
 product: a kernel that holds its factors for life, nested products
@@ -214,7 +224,7 @@ class SubKernel:
                     for x, (den, e) in self._rows.items()
                 }
             )
-            object.__setattr__(self, "_view", view)
+            _set_view(self, view)
         return view
 
     def row(self, x) -> Mapping[Outcome, Fraction]:
@@ -249,13 +259,25 @@ class _Product(SubKernel):
         rows = self._built
         if rows is None:
             rows = reduce(_times, self._factors)._rows
-            object.__setattr__(self, "_built", rows)
+            _set_built(self, rows)
         return rows
 
 
+# Each slot's own setter, bound once: it writes the slot directly, past
+# SubKernel.__setattr__, which refuses every write.
+_set_dom = SubKernel.dom.__set__
+_set_cod = SubKernel.cod.__set__
+_set_rows = SubKernel._rows.__set__
+_set_view = SubKernel._view.__set__
+_set_factors = _Product._factors.__set__
+_set_built = _Product._built.__set__
+
+
 def _init(k: SubKernel, dom: Obj, cod: Obj, rows: dict[Outcome, IntRow]) -> None:
-    for name, value in (("dom", dom), ("cod", cod), ("_rows", rows), ("_view", None)):
-        object.__setattr__(k, name, value)
+    _set_dom(k, dom)
+    _set_cod(k, cod)
+    _set_rows(k, rows)
+    _set_view(k, None)
 
 
 def _trusted_kernel(dom: Obj, cod: Obj, rows: dict[Outcome, IntRow]) -> SubKernel:
@@ -522,6 +544,15 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
     column sums then land on their output numbers in first-seen order,
     which is the order the outputs are first met through f's row and
     each of g's rows in turn.
+
+    Where f is a partial function, its row at x is one output y, 1 over
+    1, so the row of f ; g at x is g's row at y's slice, its outputs
+    placed in context and its numerators as they are: reduced, in the
+    order of g's row.  Where g is, each of its rows is one output, 1
+    over 1, so each entry of f's row keeps its numerator and moves to
+    that output, or is dropped; entries that land on one output are
+    summed, in the order of f's row, and the row is reduced.  Nothing
+    is numbered or packed on either route.
     """
     if at is None:
         require_composable(f.cod, g.dom)
@@ -538,18 +569,49 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
             left, right = Obj(factors[:k]), Obj(factors[j:])
             require_composable(f.cod, left.tensor(g.dom).tensor(right))
         cod = Obj(factors[:k] + g.cod.factors + factors[j:])
+    frows, grows = f._rows, g._rows
+    rows: dict[Outcome, IntRow] = {}
+    for den, _ in frows.values():
+        if den != 1:
+            break
+    else:
+        # f is a partial function: each row is g's, placed in context.
+        for x, (_, frow) in frows.items():
+            (y,) = frow
+            grow = grows.get(y[k:j])
+            if grow:
+                pre, post = y[:k], y[j:]
+                den, e = grow
+                rows[x] = den, (
+                    {pre + z + post: n for z, n in e.items()} if pre or post else dict(e)
+                )
+        return _trusted_kernel(f.dom, cod, rows)
+    for den, _ in grows.values():
+        if den != 1:
+            break
+    else:
+        # g is a partial function: f's entries move as relabel moves them.
+        for x, (den, frow) in frows.items():
+            acc: dict[Outcome, int] = {}
+            for y, n in frow.items():
+                grow = grows.get(y[k:j])
+                if grow:
+                    (z,) = grow[1]
+                    z = y[:k] + z + y[j:]
+                    acc[z] = acc[z] + n if z in acc else n
+            if acc:
+                rows[x] = _reduced(den, acc)
+        return _trusted_kernel(f.dom, cod, rows)
     index: dict[Outcome, int] = {}
     outcomes: list[Outcome] = []
     numberings: dict[tuple[int, ...], tuple[int, ...]] = {}
-    grows = g._rows
     # Each row of g's packing cache, shared by all its contexts.
     packs: dict[Outcome, dict[int, int]] = {}
     # g's row numbered for each output y of f, or () where g has none.
     g_at: dict[Outcome, tuple] = {}
     # The byte slices of the slots of a packed sum, by (width, count).
     slots: dict[tuple[int, int], list[slice]] = {}
-    rows: dict[Outcome, IntRow] = {}
-    for x, (fden, frow) in f._rows.items():
+    for x, (fden, frow) in frows.items():
         terms = []
         for y, n in frow.items():
             gy = g_at.get(y)
@@ -654,14 +716,11 @@ def tensor(f: SubKernel, *gs: SubKernel) -> SubKernel:
         return f
     factors = tuple(h for k in (f, *gs) for h in k._factors)
     k = object.__new__(_Product)
-    for name, value in (
-        ("dom", Obj(tuple(a for h in factors for a in h.dom.factors))),
-        ("cod", Obj(tuple(a for h in factors for a in h.cod.factors))),
-        ("_view", None),
-        ("_factors", factors),
-        ("_built", None),
-    ):
-        object.__setattr__(k, name, value)
+    _set_dom(k, Obj(tuple(a for h in factors for a in h.dom.factors)))
+    _set_cod(k, Obj(tuple(a for h in factors for a in h.cod.factors)))
+    _set_view(k, None)
+    _set_factors(k, factors)
+    _set_built(k, None)
     return k
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, settings
 
-from pmc.kernel import Alphabet, Obj, SubKernel
+from pmc.kernel import Alphabet, Obj, SubKernel, deterministic
 from pmc.laws import random_kernel
 
 settings.register_profile(
@@ -44,6 +44,21 @@ def kernels(draw, dom: Obj | None = None, cod: Obj | None = None) -> SubKernel:
     seed = draw(st.integers(0, 2**32 - 1))
     density = Fraction(draw(st.integers(0, 10)), 10)
     return random_kernel(seed, dom, cod, density)
+
+
+@st.composite
+def functions(draw, dom: Obj | None = None, cod: Obj | None = None) -> SubKernel:
+    """The kernel of a drawn function dom -> cod, total or partial: each
+    input goes to one drawn output, or in a partial one to none."""
+    if dom is None:
+        dom = draw(objects())
+    if cod is None:
+        cod = draw(objects())
+    outputs = st.sampled_from(list(cod.outcomes()))
+    if draw(st.booleans()):
+        outputs = st.none() | outputs
+    table = {x: draw(outputs) for x in dom.outcomes()}
+    return deterministic(dom, cod, table.get)
 
 
 @st.composite

@@ -27,7 +27,7 @@ from pmc.diagram import Copy, Gen, Id, Swap, Tensor, evaluate
 from pmc.kernel import Alphabet, Obj, SubKernel, UNIT, make_kernel, obj
 from pmc.laws import REGISTRY, check_law
 
-from conftest import kernels, objects
+from conftest import functions, kernels, objects
 
 B = Alphabet("bool", ("t", "f"))
 BO = obj(B)
@@ -495,9 +495,21 @@ def naive_compose_rows(f, g):
 
 
 @st.composite
+def kernels_or_functions(draw, dom=None, cod=None):
+    """A kernel from kernels(), or one time in three the kernel of a
+    function, total or partial, which compose takes by its own route."""
+    if draw(st.integers(0, 2)) == 0:
+        return draw(functions(dom=dom, cod=cod))
+    return draw(kernels(dom=dom, cod=cod))
+
+
+@st.composite
 def composable_pairs(draw):
     a, b, c = draw(objects()), draw(objects()), draw(objects())
-    return draw(kernels(dom=a, cod=b)), draw(kernels(dom=b, cod=c))
+    return (
+        draw(kernels_or_functions(dom=a, cod=b)),
+        draw(kernels_or_functions(dom=b, cod=c)),
+    )
 
 
 def _carry_f(den0, den1):
@@ -568,6 +580,29 @@ def first_seen_outputs(f, g, x):
     # last over a denominator of 71 bits, all reaching g's two rows.
     (_WIDTHS_F, _WIDTHS_G)
 )
+@example(
+    # A partial function f whose row at "t" reaches "f", where g has no
+    # row: the result has no row at "t".
+    (
+        K.deterministic(BO, BO, lambda x: ("t",) if x == ("f",) else ("f",)),
+        bk({"t": {"f": Fraction(1, 3), "t": HALF}}),
+    )
+)
+@example(
+    # f and g both partial functions: g drops f's output at "q", and the
+    # result is a partial function again.
+    (
+        K.deterministic(
+            obj(A4), obj(B, B),
+            {("p",): ("t", "t"), ("q",): ("t", "f"), ("r",): ("f", "f")}.get,
+        ),
+        K.compare(BO),
+    )
+)
+@example(
+    # g has no rows, so it drops every entry of f: no row is left.
+    (_WIDTHS_F, make_kernel(BO, obj(A4), {}))
+)
 def test_compose_matches_naive_sum(pair):
     f, g = pair
     h = K.compose(f, g)
@@ -584,8 +619,8 @@ def test_compose_matches_naive_sum(pair):
 def whiskerings(draw):
     """(f, g, left, right) with f's codomain left (x) g.dom (x) right."""
     left, right = draw(objects()), draw(objects())
-    g = draw(kernels())
-    f = draw(kernels(cod=left.tensor(g.dom).tensor(right)))
+    g = draw(kernels_or_functions())
+    f = draw(kernels_or_functions(cod=left.tensor(g.dom).tensor(right)))
     return f, g, left, right
 
 
@@ -601,6 +636,24 @@ A3 = Alphabet("three", ("x", "y", "z"))
             {(): {("t", "x", "f"): Fraction(1, 3), ("f", "y", "f"): HALF}},
         ),
         make_kernel(obj(A3), BO, {"x": {"t": HALF}, "z": {"f": 1}}),
+        BO,
+        BO,
+    )
+)
+@example(
+    # A partial function g between two wires: it sends "x" and "y" to
+    # one output, where f's two entries are summed, and has no row at
+    # "z", where f's entry is dropped.
+    (
+        make_kernel(
+            UNIT, obj(B, A3, B),
+            {(): {
+                ("t", "x", "f"): Fraction(1, 4),
+                ("f", "z", "t"): HALF,
+                ("t", "y", "f"): Fraction(1, 4),
+            }},
+        ),
+        K.deterministic(obj(A3), BO, {("x",): ("t",), ("y",): ("t",)}.get),
         BO,
         BO,
     )
@@ -920,6 +973,10 @@ def test_row_primitives_share_no_row_with_their_input(f):
         (K.state_at(f, at), [f]),
         (K.fill(f, uniform), [f, uniform]),
     ]
+    # compose's routes for a partial function f, then for a partial
+    # function g: an identity before f, then after it.
+    for i, j in ((K.identity(f.dom), f), (f, K.identity(f.cod))):
+        cases += [(K.compose(i, j), [i, j]), (K.compose(i, j, at=0), [i, j])]
     for result, inputs in cases:
         held = {id(row) for k in inputs for row in k.rows.values()}
         assert not any(id(row) in held for row in result.rows.values())

@@ -27,7 +27,9 @@ golden files, a file now and then cut short.  Each run must return an
 exit status README documents, 0, 1 or 2, and never raise; a failure
 writes nothing to standard output and "error: <Code>: " to standard
 error, Code a PmcError, and an undefined inference result (2) is an
-InferenceUndefined.
+InferenceUndefined.  Golden files of the same command lines, one file
+given bytes that are not UTF-8 or one part nested a few thousand levels
+deep (in one-term composes, or in one-item lists), must each exit 1.
 """
 
 from __future__ import annotations
@@ -67,6 +69,14 @@ PAIRS = [
 TERM_MUTANTS = 1000
 WELL_FORMED_MUTANTS = 400
 CLI_MUTANTS = 400
+BYTE_AND_DEPTH_MUTANTS = 100
+# Byte sequences that are not UTF-8: bytes no UTF-8 text holds, a lone
+# continuation byte, an overlong "/", a surrogate, a code point past
+# U+10FFFF, and a sequence cut short by the next character.
+NOT_UTF8 = (
+    b"\xff", b"\xfe", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf5\x80\x80\x80",
+    b"\xe2\x82",
+)
 # Probabilities put in place of an entry's, each a valid rational.
 WEIGHTS = ("0", "0", "1/9", "1/2", "1")
 
@@ -343,3 +353,59 @@ def test_mutated_cli_inputs_exit_0_1_or_2(tmp_path, capsys):
     assert elapsed < BUDGET_S, f"{CLI_MUTANTS} mutants took {elapsed:.2f} s"
     # 61 succeed, 338 are refused and 1 is undefined (exit 2).
     assert codes[0] and codes[2] and codes[1] > CLI_MUTANTS // 2, codes
+
+
+def _nested_text(rng: random.Random, docs: dict, name: str) -> str:
+    """docs[name] as JSON text with one part nested a few thousand
+    levels deep: a subterm inside that many one-term composes, or any
+    part inside that many one-item lists."""
+    holder = [copy.deepcopy(docs[name])]
+    terms = _subterms(holder) if name == "term" else []
+    node, key = rng.choice(terms or _spots(holder))
+    depth = rng.randint(2000, 5000)
+    part = json.dumps(node[key])
+    if terms:
+        part = '{"op": "compose", "terms": [' * depth + part + "]}" * depth
+    else:
+        part = "[" * depth + part + "]" * depth
+    node[key] = "@nest@"
+    return json.dumps(holder[0]).replace('"@nest@"', part, 1)
+
+
+def test_cli_inputs_not_utf8_or_nested_deep_exit_1(tmp_path, capsys):
+    # A seed stream of their own, so the mutants above stay as they are.
+    runs = _cli_runs()
+    kinds = set()
+    for i in range(BYTE_AND_DEPTH_MUTANTS):
+        rng = random.Random(f"cli-bytes-depth:{i}")
+        argv, docs = runs[i % len(runs)]
+        name = rng.choice(sorted(docs))
+        paths = {n: tmp_path / f"{n}.json" for n in docs}
+        for n, doc in docs.items():
+            paths[n].write_text(json.dumps(doc), "utf-8")
+        if rng.random() < 0.5:
+            how = "bytes"
+            data = json.dumps(docs[name]).encode()
+            at = rng.randrange(len(data) + 1)
+            paths[name].write_bytes(data[:at] + rng.choice(NOT_UTF8) + data[at:])
+        else:
+            how = "depth"
+            paths[name].write_text(_nested_text(rng, docs, name), "utf-8")
+        try:
+            code = cli.main([str(paths[a]) if a in paths else a for a in argv])
+        except Exception as exc:
+            raise AssertionError(f"{how} mutant {i} of {argv[0]}: {exc!r}") from exc
+        out, err = capsys.readouterr()
+        where = f"{how} mutant {i} of {argv[0]}: exit {code}, {err[:200]!r}"
+        m = re.match(r"error: (\w+): ", err)
+        kind = getattr(errors, m[1], None) if m else None
+        assert code == 1 and not out and isinstance(kind, type), where
+        assert issubclass(kind, PmcError), where
+        if how == "bytes":
+            assert err.startswith(f"error: SchemaError: cannot read {paths[name]}: "), where
+        kinds.add(how)
+    # 46 carry bytes that are not UTF-8 and 54 a deep nest, each refused
+    # with exit 1: under 3.11, every nest as TermTooDeep, as json.loads
+    # gives up within the recursion limit.  Under 3.13 json.loads reads
+    # most of them, and the readers refuse them as SchemaError.
+    assert kinds == {"bytes", "depth"}, kinds

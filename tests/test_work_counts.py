@@ -3,11 +3,13 @@
 golden/work_counts.json pins, for a few fixed inputs, how many Fractions
 are constructed and how many times compose, tensor, relabel,
 deterministic, parse_fraction, _ratio, the conversion of every
-rational read, and _times, the binary product a deferred tensor
-product's rows are folded from (once per factor after the first, and
-never where the product is only written), are called.  Counts of work
-are exact where timings are noisy, so a route that does more work fails
-here even when no benchmark could see it.  The test fails when a count
+rational read, _times, the binary product a deferred tensor product's
+rows are folded from (once per factor after the first, and never where
+the product is only written), and _numbered_row, which compose's packed
+route calls once per output of f that reaches a row of g (a compose
+with a partial function on either side calls it never), are called.
+Counts of work are exact where timings are noisy, so a route that does
+more work fails here even when no benchmark could see it.  The test fails when a count
 exceeds its pin; a change that lowers a count lowers its pin in the
 same change, and one that raises a count says why.  Print the current
 counts with
@@ -40,6 +42,7 @@ COUNTED = (
     "parse_fraction",
     "_ratio",
     "_times",
+    "_numbered_row",
 )
 # Three corpus problems as their JSON documents: the problem reader's work.
 PROBLEMS = ("corpus_newcomb", "corpus_monty-hall", "corpus_smoking-lesion")

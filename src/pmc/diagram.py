@@ -21,7 +21,6 @@ so that the term's semantics is pointwise g * h(yes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from typing import Iterable
@@ -276,9 +275,8 @@ def normal_form(term: Term) -> NormalForm:
     _, cod = infer_type(term)
     lift = _lift(term)
     won = K.relabel(lift, lambda x, y: y[:-1] if y[-1:] == YES else None, cod)
-    uniform = K.state(cod, dict.fromkeys(cod.outcomes(), Fraction(1, cod.size)))
     h = K.relabel(lift, lambda x, y: y[-1:], BOOL_OBJ)
-    return NormalForm(K.fill(K.normalise(won), uniform), h)
+    return NormalForm(K.fill(K.normalise(won), K._uniform(cod)), h)
 
 
 def _lift(term: Term) -> SubKernel:

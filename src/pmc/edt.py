@@ -43,7 +43,6 @@ from .kernel import (
     UNIT,
     make_kernel,
     obj,
-    state,
 )
 
 
@@ -247,12 +246,6 @@ def _check_unit_interval(**params) -> dict[str, Fraction]:
     return out
 
 
-def _uniform(at: Obj) -> SubKernel:
-    """The uniform state on at."""
-    p = Fraction(1, at.size)
-    return state(at, {x: p for x in at.outcomes()})
-
-
 def _face_values(payout: Alphabet) -> dict[str, Fraction]:
     """Utilities that give each payout label the number it names."""
     return {u: K.parse_fraction(u) for u in payout.labels}
@@ -297,8 +290,8 @@ def newcomb(predictor_noise: Fraction | int | str = 0) -> DecisionProblem:
     return DecisionProblem(
         "newcomb",
         actions,
-        _uniform(obj(prediction)),
-        _uniform(obj(actions)),
+        K._uniform(obj(prediction)),
+        K._uniform(obj(actions)),
         consequence,
         _face_values(payout),
     )
@@ -345,8 +338,8 @@ def monty_hall() -> DecisionProblem:
     return DecisionProblem(
         "monty-hall",
         actions,
-        cond_compose(_uniform(prize_pick), make_kernel(prize_pick, obj(door), host)),
-        _uniform(obj(actions)),
+        cond_compose(K._uniform(prize_pick), make_kernel(prize_pick, obj(door), host)),
+        K._uniform(obj(actions)),
         K.deterministic(obj(door, door, door, actions), obj(payout), result),
         _face_values(payout),
     )
@@ -378,7 +371,7 @@ def _death_problem(
     return DecisionProblem(
         name,
         actions,
-        K.compose(_uniform(disposition), K.graph(death)),
+        K.compose(K._uniform(disposition), K.graph(death)),
         K.deterministic(disposition, obj(actions), lambda d: d),
         consequence,
         _face_values(_DEATH_PAYOUT),

@@ -33,28 +33,27 @@ scaled and is not packed.  compose also whiskers: compose(f, g, at=k)
 is f ; (id (x) g (x) id) with g reading the codomain factors of f from
 the k-th on, and no identity kernel is built or multiplied through.
 
-Where f or g is a partial function, every stored row's denominator 1,
-compose takes a shorter route; the test stops at the first row whose
-denominator is not 1.  For such an f, the row of f ; g at x is g's row
-at the slice of f's one output, placed in context, already reduced.
-For such a g, each entry of f's row moves to g's one output at its
-slice, or is dropped where g has no row, as relabel moves it.  Both
-give the general route's rows in its order: first-seen order is the
-order of g's row when f's row has one entry, and f's entry order when
-each of g's rows has one output.
+A row of f whose denominator is 1, the row of a partial function, is
+one output y, 1 over 1, so its row of f ; g is g's row at y's slice
+placed in context, already reduced and in the order the general sum
+gives it; it is neither numbered nor packed.  Where every row of g has
+denominator 1, f ; g is relabel moving each entry of f to g's one
+output at its slice, or dropping it where g has no row: first-seen
+order is then f's entry order.
 
 The tensor is strict monoidal, so a product is given whole by its
 factors, and its rows are only a cache.  tensor returns a deferred
 product: a kernel that holds its factors for life, nested products
 flattened.  Its rows are built on their first read as a left fold of
-binary products, never multiplying a row whose denominator is 1, and
+binary products, each pair of rows multiplied by one formula, and
 kept.  So ==, rows, compose, relabel, copies and pickles all see
 ordinary rows, while codec writes a product's text from its factors,
 whether or not its rows were built, and never builds them.
 
 The rest of the package works through compose, tensor, deterministic
 (the kernel of a partial function, which every structural map and point
-is, built from the inputs where it is defined), and the row operations
+is, built from the inputs where it is defined), _uniform (the uniform
+state, built from its integer row), and the row operations
 normalise, relabel, bend, state_at and fill, and reads rows through
 row, prob, mass and the rows view.  Two functions elsewhere touch
 stored rows: codec's emission reads a kernel's factors (a kernel that
@@ -411,6 +410,11 @@ def state(cod: Obj, dist: Mapping) -> SubKernel:
     return make_kernel(UNIT, cod, {(): dist})
 
 
+def _uniform(at: Obj) -> SubKernel:
+    """The uniform state on at: one row, 1 over at.size on each outcome."""
+    return _trusted_kernel(UNIT, at, {(): (at.size, dict.fromkeys(at.outcomes(), 1))})
+
+
 def deterministic(
     dom: Obj, cod: Obj, fn: PartialFn, defined: Optional[Iterable[Outcome]] = None
 ) -> SubKernel:
@@ -528,7 +532,7 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
     at, f's codomain must be g's domain itself, so a plain composition
     never whiskers by accident.  g's row for an output y of f is looked
     up by the slice of y that g reads, and numbered (see _numbered_row)
-    once per y, only for the outputs that f reaches.
+    once per y, only for the outputs that f's general rows reach.
 
     A row of f over D_f with numerators n_y gives one term per y where
     g has a row, over D_y.  Over M, the lcm of those D_y, the term's
@@ -545,14 +549,15 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
     which is the order the outputs are first met through f's row and
     each of g's rows in turn.
 
-    Where f is a partial function, its row at x is one output y, 1 over
-    1, so the row of f ; g at x is g's row at y's slice, its outputs
-    placed in context and its numerators as they are: reduced, in the
-    order of g's row.  Where g is, each of its rows is one output, 1
-    over 1, so each entry of f's row keeps its numerator and moves to
-    that output, or is dropped; entries that land on one output are
-    summed, in the order of f's row, and the row is reduced.  Nothing
-    is numbered or packed on either route.
+    A row of f whose denominator is 1 is one output y, 1 over 1, and
+    gives g's row at y's slice, its outputs placed in context in a new
+    dict and its numerators as they are: the one term's row, already
+    reduced, in the order of g's row.  Where every row of g has
+    denominator 1, f ; g is relabel: each entry of f's row keeps its
+    numerator and moves to g's one output at its slice, or is dropped
+    where g has no row; entries that land on one output are summed, in
+    the order of f's row, and the row is reduced.  Neither case numbers
+    or packs a row.
     """
     if at is None:
         require_composable(f.cod, g.dom)
@@ -569,39 +574,21 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
             left, right = Obj(factors[:k]), Obj(factors[j:])
             require_composable(f.cod, left.tensor(g.dom).tensor(right))
         cod = Obj(factors[:k] + g.cod.factors + factors[j:])
-    frows, grows = f._rows, g._rows
-    rows: dict[Outcome, IntRow] = {}
-    for den, _ in frows.values():
-        if den != 1:
-            break
-    else:
-        # f is a partial function: each row is g's, placed in context.
-        for x, (_, frow) in frows.items():
-            (y,) = frow
-            grow = grows.get(y[k:j])
-            if grow:
-                pre, post = y[:k], y[j:]
-                den, e = grow
-                rows[x] = den, (
-                    {pre + z + post: n for z, n in e.items()} if pre or post else dict(e)
-                )
-        return _trusted_kernel(f.dom, cod, rows)
+    grows = g._rows
     for den, _ in grows.values():
         if den != 1:
             break
     else:
-        # g is a partial function: f's entries move as relabel moves them.
-        for x, (den, frow) in frows.items():
-            acc: dict[Outcome, int] = {}
-            for y, n in frow.items():
-                grow = grows.get(y[k:j])
-                if grow:
-                    (z,) = grow[1]
-                    z = y[:k] + z + y[j:]
-                    acc[z] = acc[z] + n if z in acc else n
-            if acc:
-                rows[x] = _reduced(den, acc)
-        return _trusted_kernel(f.dom, cod, rows)
+        # g is a partial function: f's entries move to its outputs.
+        def moved(x: Outcome, y: Outcome) -> Optional[Outcome]:
+            grow = grows.get(y[k:j])
+            if grow:
+                (z,) = grow[1]
+                return y[:k] + z + y[j:]
+            return None
+
+        return relabel(f, moved, cod)
+    rows: dict[Outcome, IntRow] = {}
     index: dict[Outcome, int] = {}
     outcomes: list[Outcome] = []
     numberings: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -611,7 +598,15 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
     g_at: dict[Outcome, tuple] = {}
     # The byte slices of the slots of a packed sum, by (width, count).
     slots: dict[tuple[int, int], list[slice]] = {}
-    for x, (fden, frow) in frows.items():
+    for x, (fden, frow) in f._rows.items():
+        if fden == 1:
+            # A partial function's row: g's row at its one output's slice.
+            (y,) = frow
+            grow = grows.get(y[k:j])
+            if grow:
+                pre, post = y[:k], y[j:]
+                rows[x] = grow[0], {pre + z + post: n for z, n in grow[1].items()}
+            continue
         terms = []
         for y, n in frow.items():
             gy = g_at.get(y)
@@ -665,41 +660,31 @@ def compose(f: SubKernel, g: SubKernel, at: Optional[int] = None) -> SubKernel:
 
 
 def _times(left: SubKernel, right: SubKernel) -> SubKernel:
-    """left (x) right, each factor's rows listed once (see _row_product)."""
+    """left (x) right, each factor's rows listed once as (x, (D, entries,
+    gcd of the numerators)), and each pair multiplied by _row_product."""
     rows0, rows1 = (
         [
-            (x, den, y, (den, list(e.items()), gcd(*e.values()), y))
+            (x, (den, list(e.items()), gcd(*e.values())))
             for x, (den, e) in k._rows.items()
-            for y in (next(iter(e)),)
         ]
         for k in (left, right)
     )
     return _trusted_kernel(
         left.dom.tensor(right.dom),
         left.cod.tensor(right.cod),
-        {
-            # Two rows of partial functions, as in every structural map.
-            x0 + x1: (1, {y0 + y1: 1}) if d0 == d1 == 1 else _row_product(r0, r1)
-            for x0, d0, y0, r0 in rows0
-            for x1, d1, y1, r1 in rows1
-        },
+        {x0 + x1: _row_product(r0, r1) for x0, r0 in rows0 for x1, r1 in rows1},
     )
 
 
 def _row_product(r0: tuple, r1: tuple) -> IntRow:
-    """The product of two rows, each given as (D, entries, gcd of the
-    numerators, first output).  A row whose D is 1 is one entry, 1: its
-    product with a row is that row with the one output joined on, and
-    is already reduced.  Otherwise the product of (D0, n0s) and
-    (D1, n1s) is (D0 * D1, n0 * n1) over c = gcd(D0, gcd(n1s)) *
-    gcd(D1, gcd(n0s)), the factor those share, as D0 is prime to
-    gcd(n0s) and D1 to gcd(n1s)."""
-    d0, e0, g0, y0 = r0
-    d1, e1, g1, y1 = r1
-    if d0 == 1:
-        return d1, {y0 + y: n for y, n in e1}
-    if d1 == 1:
-        return d0, {y + y1: n for y, n in e0}
+    """The product of two rows (D0, n0s) and (D1, n1s), each given as
+    (D, entries, gcd of the numerators): (D0 * D1, n0 * n1) over
+    c = gcd(D0, gcd(n1s)) * gcd(D1, gcd(n0s)), the factor those share,
+    as D0 is prime to gcd(n0s) and D1 to gcd(n1s).  A row whose D is 1
+    is one entry, 1, so c is 1 and the other row comes out scaled by 1,
+    its one output joined on."""
+    d0, e0, g0 = r0
+    d1, e1, g1 = r1
     c = gcd(d0, g1) * gcd(d1, g0)
     return d0 * d1 // c, {a + b: m * n // c for a, m in e0 for b, n in e1}
 
@@ -710,8 +695,7 @@ def tensor(f: SubKernel, *gs: SubKernel) -> SubKernel:
     product's own factors spliced in, and builds its rows from them on
     their first read, as the left fold of _times over the factors.
     Rows and entries come out in that fold's order: each factor's own
-    order, the leftmost factor outermost.  A row of a structural map
-    has denominator 1, and is never multiplied.  f alone is f."""
+    order, the leftmost factor outermost.  f alone is f."""
     if not gs:
         return f
     factors = tuple(h for k in (f, *gs) for h in k._factors)

@@ -497,10 +497,19 @@ def naive_compose_rows(f, g):
 @st.composite
 def kernels_or_functions(draw, dom=None, cod=None):
     """A kernel from kernels(), or one time in three the kernel of a
-    function, total or partial, which compose takes by its own route."""
-    if draw(st.integers(0, 2)) == 0:
+    function, total or partial, and one time in three a kernel that
+    takes each row from one or the other: compose takes a row whose
+    denominator is 1 by its own shortcut."""
+    how = draw(st.integers(0, 2))
+    if how == 0:
         return draw(functions(dom=dom, cod=cod))
-    return draw(kernels(dom=dom, cod=cod))
+    k = draw(kernels(dom=dom, cod=cod))
+    if how == 1:
+        fn = draw(functions(dom=k.dom, cod=k.cod))
+        return make_kernel(k.dom, k.cod, {
+            x: draw(st.sampled_from([k, fn])).row(x) for x in k.dom.outcomes()
+        })
+    return k
 
 
 @st.composite
@@ -603,6 +612,19 @@ def first_seen_outputs(f, g, x):
     # g has no rows, so it drops every entry of f: no row is left.
     (_WIDTHS_F, make_kernel(BO, obj(A4), {}))
 )
+@example(
+    # f mixes rows of denominator 1, one reaching a row of g and one
+    # not, with general rows before and after them.
+    (
+        make_kernel(obj(A4), BO, {
+            "p": {"t": Fraction(1, 3), "f": HALF},
+            "q": {"f": 1},
+            "r": {"t": 1},
+            "s": {"f": Fraction(1, 5)},
+        }),
+        bk({"f": {"f": Fraction(1, 4), "t": Fraction(3, 4)}}),
+    )
+)
 def test_compose_matches_naive_sum(pair):
     f, g = pair
     h = K.compose(f, g)
@@ -665,6 +687,22 @@ A3 = Alphabet("three", ("x", "y", "z"))
         make_kernel(UNIT, obj(A3), {(): {"x": Fraction(1, 4), "z": HALF}}),
         BO,
         UNIT,
+    )
+)
+@example(
+    # f mixes rows of denominator 1 with a general row, g between two
+    # wires: each one output takes g's row in context, or none at "z".
+    (
+        make_kernel(obj(A4), obj(B, A3, B), {
+            "p": {("f", "y", "t"): 1},
+            "q": {("t", "x", "f"): Fraction(1, 3), ("f", "z", "f"): HALF},
+            "r": {("t", "z", "f"): 1},
+        }),
+        make_kernel(obj(A3), BO, {
+            "y": {"f": Fraction(1, 6), "t": Fraction(2, 3)}, "x": {"t": HALF},
+        }),
+        BO,
+        BO,
     )
 )
 def test_whiskered_compose_is_compose_through_the_whiskered_kernel(case):
@@ -842,6 +880,21 @@ def tensor_factors(draw):
     bk({"t": {"t": Fraction(2, 3)},
         "f": {"t": Fraction(1, 5), "f": Fraction(3, 5)}}),
 ])
+@example([
+    # Rows of denominator 1 on the left only: each meets general rows.
+    bk({"t": {"f": 1}, "f": {"t": Fraction(1, 6), "f": Fraction(2, 3)}}),
+    bk({"t": {"t": Fraction(3, 4)}, "f": {"t": Fraction(2, 9), "f": Fraction(1, 9)}}),
+])
+@example([
+    # The same on the right only.
+    make_kernel(UNIT, BO, {(): {"t": Fraction(2, 5), "f": Fraction(1, 10)}}),
+    bk({"t": {"t": HALF, "f": Fraction(1, 4)}, "f": {"t": 1}}),
+])
+@example([
+    # On both sides, beside general rows: every pairing of the two kinds.
+    bk({"t": {"t": 1}, "f": {"t": Fraction(1, 3), "f": Fraction(1, 3)}}),
+    bk({"t": {"t": Fraction(5, 6)}, "f": {"f": 1}}),
+])
 def test_tensor_matches_naive_product(fs):
     h = K.tensor(*fs)
     expected = reduce(naive_tensor_rows, (f.rows for f in fs))
@@ -852,10 +905,11 @@ def test_tensor_matches_naive_product(fs):
         assert all(type(q) is Fraction for q in row.values())
 
 
-def test_tensor_multiplies_no_entry_by_one(monkeypatch):
-    # g's entries are not 1, and each meets only a row of a structural
-    # map, whose denominator is 1, on its left or on its right: no
-    # product multiplies.
+def test_tensor_multiplies_no_fraction(monkeypatch):
+    # Rows are multiplied as integers: g's entries, none of them 1, meet
+    # rows of structural maps on their left and on their right, and no
+    # Fraction is multiplied, whether the product is built by tensor or
+    # by evaluate.
     y = obj(Alphabet("three", ("x", "y", "z")))
     g = make_kernel(BO, y, {
         "t": {"x": Fraction(1, 4), "z": HALF}, "f": {"y": Fraction(2, 3)},
@@ -973,9 +1027,13 @@ def test_row_primitives_share_no_row_with_their_input(f):
         (K.state_at(f, at), [f]),
         (K.fill(f, uniform), [f, uniform]),
     ]
-    # compose's routes for a partial function f, then for a partial
-    # function g: an identity before f, then after it.
-    for i, j in ((K.identity(f.dom), f), (f, K.identity(f.cod))):
+    # compose's shortcut for rows of denominator 1, then its relabel
+    # for a partial function g: an identity before f, then after it;
+    # then f after a kernel mixing such rows with general ones.
+    mixed = make_kernel(f.dom, f.dom, {
+        x: {x: 1} if n % 2 else {x: HALF} for n, x in enumerate(f.dom.outcomes())
+    })
+    for i, j in ((K.identity(f.dom), f), (f, K.identity(f.cod)), (mixed, f)):
         cases += [(K.compose(i, j), [i, j]), (K.compose(i, j, at=0), [i, j])]
     for result, inputs in cases:
         held = {id(row) for k in inputs for row in k.rows.values()}

@@ -5,20 +5,21 @@ are constructed and how many times compose, tensor, relabel,
 deterministic, parse_fraction, _ratio, the conversion of every
 rational read, _times, the binary product a deferred tensor product's
 rows are folded from (once per factor after the first, and never where
-the product is only written), and _numbered_row, which compose's packed
-route calls once per output of f that reaches a row of g (a compose
-with a partial function on either side calls it never), are called.
+the product is only written), and _numbered_row, which compose calls
+once per output of f's general rows (denominator not 1) that reaches a
+row of g (a compose with a partial function g calls relabel instead),
+are called.
 Counts of work are exact where timings are noisy, so a route that does
-more work fails here even when no benchmark could see it.  The test fails when a count
-exceeds its pin; a change that lowers a count lowers its pin in the
-same change, and one that raises a count says why.  Print the current
-counts with
+more work fails here even when no benchmark could see it.  Each call
+count must equal its pin, so a change that lowers a count lowers its
+pin in the same change and leaves no slack, and one that raises a
+count says why.  The Fraction counts may read lower than their pins:
+under Python 3.12 and later, Fraction arithmetic builds its results
+without calling Fraction.__new__.  So the pins are taken under 3.11,
+and printing them under any other Python is refused.  Print the
+current counts with
 
-    PYTHONPATH=src python tests/test_work_counts.py > tests/golden/work_counts.json
-
-Under Python 3.12 and later, Fraction arithmetic builds its results
-without calling Fraction.__new__, so the Fraction counts read lower
-there than the pins, which are taken under 3.11.
+    PYTHONPATH=src python3.11 tests/test_work_counts.py > tests/golden/work_counts.json
 """
 
 from __future__ import annotations
@@ -114,16 +115,25 @@ def test_no_work_count_exceeds_its_pin(monkeypatch):
     pins = json.loads((GOLDEN / "work_counts.json").read_text("utf-8"))
     counts = work_counts(monkeypatch.setattr)
     assert counts.keys() == pins.keys()
-    over = {
-        (workload, name): (n, pins[workload][name])
+    # Fraction may read lower than its pin (see the module docstring).
+    off = {
+        (workload, name): (n, pin)
         for workload, got in counts.items()
         for name, n in got.items()
-        if n > pins[workload][name]
+        for pin in (pins[workload][name],)
+        if n > pin or (n < pin and name != "Fraction")
     }
-    assert not over, f"(workload, count): (counted, pinned) {over}"
+    assert not off, f"(workload, count): (counted, pinned) {off}"
 
 
 if __name__ == "__main__":
+    if sys.version_info[:2] != (3, 11):
+        sys.stderr.write(
+            "work counts are pinned under Python 3.11; under "
+            f"{sys.version_info.major}.{sys.version_info.minor} the Fraction "
+            "counts differ, so no pins are printed\n"
+        )
+        sys.exit(1)
     saved = []
 
     def install(owner, name, value):
